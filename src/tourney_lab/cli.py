@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from .experiments import (
+    EXPERIMENTS,
     ConfigError,
     MalformedCsvError,
     SweepConfig,
@@ -23,8 +24,6 @@ from .recovery import TIE_RULE
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
-
-_RANKING_EXPERIMENTS = {"recover", "mle-compare"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     raw = load_config_file(args.config)
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.out is not None:
@@ -58,7 +55,7 @@ def _run(args: argparse.Namespace) -> int:
     threads = resolve_threads(config.threads, args.threads)
     result = run_sweep(config, threads=threads)
     print(f"wrote {len(result.rows)} rows to {config.output_path}")
-    if config.experiment in _RANKING_EXPERIMENTS:
+    if EXPERIMENTS[config.experiment].prints_tie_rule:
         print(f"tie rule: {TIE_RULE}")
     return EXIT_OK
 

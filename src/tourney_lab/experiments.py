@@ -9,9 +9,11 @@ count or scheduling.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,16 +69,106 @@ class SweepRow(NamedTuple):
     value: float
 
 
+def _draw_tournament(n: int, gamma: float, rng: RngStream):
+    if gamma == 0.0:
+        return sample_null(n, rng)
+    _, t = sample_planted_uniform(ModelParams(n, gamma), rng)
+    return t
+
+
+def _detect_wedge(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
+    f = detection.wedge_statistic(_draw_tournament(n, gamma, rng))
+    cutoff = WEDGE_NULL_SDS * math.sqrt(detection.wedge_null_moments(n)[1])
+    return f, 1.0 if f >= cutoff else 0.0
+
+
+def _detect_spectral(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
+    scaled = detection.spectral_statistic(_draw_tournament(n, gamma, rng)) / math.sqrt(n)
+    return scaled, 1.0 if scaled >= 2.0 + epsilon else 0.0
+
+
+def _recover(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
+    params = ModelParams(n, gamma)
+    hidden, t = sample_planted_uniform(params, rng)
+    estimate = recovery.ranking_by_wins(t)
+    return (
+        kendall_tau(hidden, estimate),
+        spearman_footrule(hidden, estimate),
+        recovery.pessimistic_error_statistic(t, hidden),
+        recovery.expected_error_bound(params),
+    )
+
+
+def _mle_compare(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
+    _, t = sample_planted_uniform(ModelParams(n, gamma), rng)
+    rbw_value = alignment(recovery.ranking_by_wins(t), t)
+    best = recovery.brute_force_mle(t).best_alignment
+    return rbw_value, best, rbw_value / best if best else 1.0  # a zero optimum: RBW is optimal
+
+
+def _chi2_table(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
+    params = ModelParams(n, gamma)
+    return fourier.chi2_exact(params), fourier.chi2_fourier(params), fourier.tv_exact(params)
+
+
+def _spectrum_verify(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
+    a_matrix = spectral.build_A(n)
+    vecs = np.empty((n, n), dtype=np.complex128)
+    lams = np.empty(n)
+    for i in range(1, n + 1):
+        lams[i - 1], vecs[:, i - 1] = spectral.closed_form_eigenpair(n, i)
+    residuals = np.linalg.norm(a_matrix @ vecs - vecs * lams[None, :], axis=0)
+    gram = vecs.conj().T @ vecs
+    np.fill_diagonal(gram, 0.0)
+    return residuals.max(), np.abs(gram).max()
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment: ``trial(n, gamma, rng, epsilon)`` returns one value per name
+    in ``statistics``, in order.  Trials are module-level and reach the library
+    through module globals at call time, so process pools can pickle them and
+    tracers that rebind those names see every call.
+    """
+
+    statistics: tuple
+    trial: Callable
+    max_n: int | None = None
+    max_gamma: float = 0.5
+    prints_tie_rule: bool = False
+
+
 EXPERIMENTS = {
-    "detect-wedge": ("wedge", "verdict"),
-    "detect-spectral": ("spectral_scaled", "verdict"),
-    "recover": ("kendall_error", "footrule_error", "pessimistic_error", "expected_error_bound"),
-    "mle-compare": ("rbw_alignment", "mle_alignment", "alignment_ratio"),
-    "chi2-table": ("chi2_exact", "chi2_fourier", "tv_exact"),
-    "spectrum-verify": ("max_eigen_residual", "max_offdiag_inner_product"),
+    "detect-wedge": Experiment(("wedge", "verdict"), _detect_wedge),
+    "detect-spectral": Experiment(("spectral_scaled", "verdict"), _detect_spectral),
+    "recover": Experiment(
+        ("kendall_error", "footrule_error", "pessimistic_error", "expected_error_bound"),
+        _recover,
+        max_gamma=0.25,  # the expected-error bound assumes gamma <= 1/4
+        prints_tie_rule=True,
+    ),
+    "mle-compare": Experiment(
+        ("rbw_alignment", "mle_alignment", "alignment_ratio"),
+        _mle_compare,
+        max_n=recovery.MAX_MLE_N,
+        prints_tie_rule=True,
+    ),
+    "chi2-table": Experiment(
+        ("chi2_exact", "chi2_fourier", "tv_exact"), _chi2_table, max_n=fourier.MAX_DIVERGENCE_N
+    ),
+    "spectrum-verify": Experiment(
+        ("max_eigen_residual", "max_offdiag_inner_product"), _spectrum_verify, max_n=1024
+    ),
 }
 
-MAX_SPECTRUM_VERIFY_N = 1024
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
 
 
 @dataclass(frozen=True)
@@ -85,7 +177,7 @@ class SweepConfig:
 
     ``gamma_spec`` is either an explicit list of values or a scaling rule
     ``{"c": c, "alpha": a}`` meaning gamma = c * n^(-alpha) at each n.
-    ``epsilon`` is the spectral test margin (detect-spectral only).
+    ``epsilon`` is the spectral test margin (spectral detection only).
     """
 
     experiment: str
@@ -117,9 +209,10 @@ class SweepConfig:
         missing = {"experiment", "n_values", "gamma_spec", "trials", "seed"} - set(raw)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
+        n_values = raw["n_values"]
         cfg = cls(
             experiment=raw["experiment"],
-            n_values=tuple(raw["n_values"]),
+            n_values=tuple(n_values) if isinstance(n_values, list) else n_values,
             gamma_spec=raw["gamma_spec"],
             trials=raw["trials"],
             seed=raw["seed"],
@@ -136,50 +229,48 @@ class SweepConfig:
         return (float(self.gamma_spec["c"]) * float(n) ** -float(self.gamma_spec["alpha"]),)
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {sorted(EXPERIMENTS)}"
             )
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError("trials must be a positive integer")
-        if not isinstance(self.threads, int) or self.threads < 1:
+        if not _is_int(self.threads) or self.threads < 1:
             raise ConfigError("threads must be a positive integer")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError("seed must be an integer")
-        if not self.n_values:
-            raise ConfigError("n_values must be non-empty")
+        if not isinstance(self.output_path, str):
+            raise ConfigError("output_path must be a string")
+        if not isinstance(self.n_values, (list, tuple)) or not self.n_values:
+            raise ConfigError("n_values must be a non-empty list")
         for n in self.n_values:
-            if not isinstance(n, int) or n < 2:
+            if not _is_int(n) or n < 2:
                 raise ConfigError("every n must be an integer >= 2")
         if isinstance(self.gamma_spec, (list, tuple)):
             if not self.gamma_spec:
                 raise ConfigError("gamma list must be non-empty")
+            if not all(_is_number(g) for g in self.gamma_spec):
+                raise ConfigError("every gamma must be a number")
         elif isinstance(self.gamma_spec, dict):
             if set(self.gamma_spec) != {"c", "alpha"}:
                 raise ConfigError('gamma_spec object must have exactly the keys "c" and "alpha"')
+            if not all(_is_number(v) for v in self.gamma_spec.values()):
+                raise ConfigError("gamma scaling c and alpha must be numbers")
             if not float(self.gamma_spec["c"]) > 0:
                 raise ConfigError("gamma scaling requires c > 0")
             if not 0.0 <= float(self.gamma_spec["alpha"]) <= 1.0:
                 raise ConfigError("gamma scaling requires alpha in [0, 1]")
         else:
             raise ConfigError("gamma_spec must be a list or a {c, alpha} object")
-        if not isinstance(self.epsilon, (int, float)) or self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (_is_number(self.epsilon) and 0 < self.epsilon < math.inf):
+            raise ConfigError("epsilon must be a finite positive number")
+        spec = EXPERIMENTS[self.experiment]
         for n in self.n_values:
+            if spec.max_n is not None and n > spec.max_n:
+                raise ConfigError(f"{self.experiment} requires n <= {spec.max_n}")
             for gamma in self.gammas_for(n):
-                self._validate_point(n, gamma)
-
-    def _validate_point(self, n: int, gamma: float) -> None:
-        if not 0.0 <= gamma <= 0.5:
-            raise ConfigError(f"gamma={gamma} at n={n} falls outside [0, 1/2]")
-        if self.experiment == "recover" and gamma > 0.25:
-            raise ConfigError("recover sweeps require gamma <= 1/4 (error bound assumption)")
-        if self.experiment == "mle-compare" and n > recovery.MAX_MLE_N:
-            raise ConfigError(f"mle-compare requires n <= {recovery.MAX_MLE_N}")
-        if self.experiment == "chi2-table" and n > fourier.MAX_DIVERGENCE_N:
-            raise ConfigError(f"chi2-table requires n <= {fourier.MAX_DIVERGENCE_N}")
-        if self.experiment == "spectrum-verify" and n > MAX_SPECTRUM_VERIFY_N:
-            raise ConfigError(f"spectrum-verify requires n <= {MAX_SPECTRUM_VERIFY_N}")
+                if not 0.0 <= gamma <= spec.max_gamma:
+                    raise ConfigError(f"gamma={gamma} at n={n} falls outside [0, {spec.max_gamma}]")
 
 
 @dataclass(frozen=True)
@@ -187,95 +278,20 @@ class SweepResult:
     rows: tuple
 
 
-def _draw_tournament(n: int, gamma: float, rng: RngStream):
-    if gamma == 0.0:
-        return sample_null(n, rng)
-    _, t = sample_planted_uniform(ModelParams(n, gamma), rng)
-    return t
-
-
-def _trial_values(task: tuple) -> list:
-    """Statistics for one (experiment, n, gamma, trial) point."""
-    experiment, n, gamma, seed, stream_index, epsilon = task
-    rng = RngStream(seed, stream_index)
-
-    if experiment == "detect-wedge":
-        t = _draw_tournament(n, gamma, rng)
-        f = detection.wedge_statistic(t)
-        cutoff = WEDGE_NULL_SDS * math.sqrt(detection.wedge_null_moments(n)[1])
-        return [("wedge", float(f)), ("verdict", 1.0 if f >= cutoff else 0.0)]
-
-    if experiment == "detect-spectral":
-        t = _draw_tournament(n, gamma, rng)
-        scaled = detection.spectral_statistic(t) / math.sqrt(n)
-        return [("spectral_scaled", scaled), ("verdict", 1.0 if scaled >= 2.0 + epsilon else 0.0)]
-
-    if experiment == "recover":
-        params = ModelParams(n, gamma)
-        hidden, t = sample_planted_uniform(params, rng)
-        estimate = recovery.ranking_by_wins(t)
-        return [
-            ("kendall_error", float(kendall_tau(hidden, estimate))),
-            ("footrule_error", float(spearman_footrule(hidden, estimate))),
-            ("pessimistic_error", float(recovery.pessimistic_error_statistic(t, hidden))),
-            ("expected_error_bound", recovery.expected_error_bound(params)),
-        ]
-
-    if experiment == "mle-compare":
-        params = ModelParams(n, gamma)
-        _, t = sample_planted_uniform(params, rng)
-        rbw = recovery.ranking_by_wins(t)
-        rbw_value = alignment(rbw, t)
-        mle = recovery.brute_force_mle(t)
-        if mle.best_alignment == 0:
-            ratio = 1.0  # all rankings align to zero, including RBW
-        else:
-            ratio = rbw_value / mle.best_alignment
-        return [
-            ("rbw_alignment", float(rbw_value)),
-            ("mle_alignment", float(mle.best_alignment)),
-            ("alignment_ratio", ratio),
-        ]
-
-    if experiment == "chi2-table":
-        params = ModelParams(n, gamma)
-        return [
-            ("chi2_exact", fourier.chi2_exact(params)),
-            ("chi2_fourier", fourier.chi2_fourier(params)),
-            ("tv_exact", fourier.tv_exact(params)),
-        ]
-
-    if experiment == "spectrum-verify":
-        a_matrix = spectral.build_A(n)
-        vecs = np.empty((n, n), dtype=np.complex128)
-        lams = np.empty(n)
-        for i in range(1, n + 1):
-            lams[i - 1], vecs[:, i - 1] = spectral.closed_form_eigenpair(n, i)
-        residuals = np.linalg.norm(a_matrix @ vecs - vecs * lams[None, :], axis=0)
-        gram = vecs.conj().T @ vecs
-        np.fill_diagonal(gram, 0.0)
-        return [
-            ("max_eigen_residual", float(residuals.max())),
-            ("max_offdiag_inner_product", float(np.abs(gram).max())),
-        ]
-
-    raise ConfigError(f"unknown experiment {experiment!r}")
-
-
 def _tasks(config: SweepConfig) -> list:
-    tasks = []
-    stream_index = 0
-    for n in config.n_values:
-        for gamma in config.gammas_for(n):
-            for trial in range(config.trials):
-                tasks.append(
-                    (
-                        (config.experiment, n, gamma, config.seed, stream_index, config.epsilon),
-                        trial,
-                    )
-                )
-                stream_index += 1
-    return tasks
+    """(experiment, n, gamma, trial, seed, stream, epsilon) per trial, streams in that order."""
+    points = [(n, gamma) for n in config.n_values for gamma in config.gammas_for(n)]
+    trials = itertools.product(points, range(config.trials))
+    return [
+        (config.experiment, n, gamma, trial, config.seed, stream, config.epsilon)
+        for stream, ((n, gamma), trial) in enumerate(trials)
+    ]
+
+
+def _trial_values(task: tuple) -> tuple:
+    """Statistic values of one task, in the order its experiment declares."""
+    experiment, n, gamma, _trial, seed, stream, epsilon = task
+    return EXPERIMENTS[experiment].trial(n, gamma, RngStream(seed, stream), epsilon)
 
 
 def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
@@ -289,16 +305,16 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     if workers < 1:
         raise ConfigError("threads must be a positive integer")
     tasks = _tasks(config)
-    args = [task for task, _ in tasks]
     if workers == 1 or len(tasks) <= 1:
-        results = [_trial_values(a) for a in args]
+        results = [_trial_values(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_values, args))
+            results = list(pool.map(_trial_values, tasks))
 
+    statistics = EXPERIMENTS[config.experiment].statistics
     rows = []
-    for ((experiment, n, gamma, _seed, _idx, _eps), trial), values in zip(tasks, results):
-        for statistic, value in values:
+    for (experiment, n, gamma, trial, *_), values in zip(tasks, results):
+        for statistic, value in zip(statistics, values, strict=True):
             if not math.isfinite(value):
                 raise RuntimeError(
                     f"non-finite value for {statistic} at n={n}, gamma={gamma}, trial={trial}"
@@ -306,7 +322,11 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
             rows.append(SweepRow(experiment, n, gamma, trial, statistic, float(value)))
     rows.sort(key=lambda r: (r.n, r.gamma, r.trial, r.statistic))
 
-    _write_rows(Path(config.output_path), rows)
+    records = (
+        [r.experiment, r.n, _format_float(r.gamma), r.trial, r.statistic, _format_float(r.value)]
+        for r in rows
+    )
+    _write_csv(config.output_path, CSV_HEADER, records)
     return SweepResult(rows=tuple(rows))
 
 
@@ -314,23 +334,24 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_rows(path: Path, rows: list) -> None:
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.experiment,
-                    str(row.n),
-                    _format_float(row.gamma),
-                    str(row.trial),
-                    row.statistic,
-                    _format_float(row.value),
-                ]
-            )
+def _write_csv(path, header: list, records) -> None:
+    """Write a CSV atomically: fill a temporary file beside ``path``, then rename it.
+
+    If anything fails, the temporary file is removed and an existing file at
+    ``path`` keeps its old bytes.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(records)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_rows(path) -> list:
@@ -338,25 +359,28 @@ def read_rows(path) -> list:
     rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise MalformedCsvError(f"expected header {CSV_HEADER}, found {header}")
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(CSV_HEADER):
-                raise MalformedCsvError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
-            try:
-                rows.append(
-                    SweepRow(
-                        experiment=record[0],
-                        n=int(record[1]),
-                        gamma=float(record[2]),
-                        trial=int(record[3]),
-                        statistic=record[4],
-                        value=float(record[5]),
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise MalformedCsvError(f"expected header {CSV_HEADER}, found {header}")
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != len(CSV_HEADER):
+                    raise MalformedCsvError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
+                try:
+                    rows.append(
+                        SweepRow(
+                            experiment=record[0],
+                            n=int(record[1]),
+                            gamma=float(record[2]),
+                            trial=int(record[3]),
+                            statistic=record[4],
+                            value=float(record[5]),
+                        )
                     )
-                )
-            except ValueError as exc:
-                raise MalformedCsvError(f"line {lineno}: {exc}") from exc
+                except ValueError as exc:
+                    raise MalformedCsvError(f"line {lineno}: {exc}") from exc
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise MalformedCsvError(f"unreadable CSV: {exc}") from exc
     return rows
 
 
@@ -388,33 +412,23 @@ def summarize(result_path) -> list:
 
 
 def write_summary(summary: list, path) -> None:
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for experiment, n, gamma, statistic, count, mean, sd, rate in summary:
-            writer.writerow(
-                [
-                    experiment,
-                    str(n),
-                    _format_float(gamma),
-                    statistic,
-                    str(count),
-                    _format_float(mean),
-                    _format_float(sd),
-                    _format_float(rate),
-                ]
-            )
+    records = (
+        [experiment, n, _format_float(gamma), statistic, count]
+        + [_format_float(x) for x in (mean, sd, rate)]
+        for experiment, n, gamma, statistic, count, mean, sd, rate in summary
+    )
+    _write_csv(path, SUMMARY_HEADER, records)
 
 
 def load_config_file(path) -> dict:
+    """Read a sweep config; anything but a UTF-8 JSON object raises ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     return raw
 
 

@@ -58,22 +58,8 @@ class Shape:
         return tuple(sorted({v for e in self.edges for v in e}))
 
     def component_count(self) -> int:
-        """Connected components among the touched vertices (union-find)."""
-        verts = self.vertices()
-        index = {v: k for k, v in enumerate(verts)}
-        parent = list(range(len(verts)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(index[a]), find(index[b])
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(k) for k in range(len(verts))})
+        """Connected components among the touched vertices."""
+        return len(_component_edge_counts(self.edges))
 
     def symmetric_difference(self, other: "Shape") -> "Shape":
         return Shape(self.edges ^ other.edges)
@@ -211,7 +197,7 @@ def chi2_fourier(params: ModelParams) -> float:
     total = 0.0
     for mask in range(1, 2**m):
         edges = [pairs[b] for b in range(m) if mask >> b & 1]
-        if not _all_components_even(edges):
+        if any(count % 2 for count in _component_edge_counts(edges)):
             continue
         verts = sorted({v for e in edges for v in e})
         index = {v: i for i, v in enumerate(verts)}
@@ -225,10 +211,12 @@ def chi2_fourier(params: ModelParams) -> float:
     return total
 
 
-def _all_components_even(edges: list[tuple[int, int]]) -> bool:
-    """True iff every connected component has an even number of edges."""
-    verts = {v for e in edges for v in e}
-    parent = {v: v for v in verts}
+def _component_edge_counts(edges) -> list[int]:
+    """Edge count of each connected component of the graph the edges span (union-find).
+
+    Every touched vertex lies on an edge, so there is one count per component.
+    """
+    parent = {v: v for e in edges for v in e}
 
     def find(x):
         while parent[x] != x:
@@ -241,9 +229,10 @@ def _all_components_even(edges: list[tuple[int, int]]) -> bool:
         if ra != rb:
             parent[ra] = rb
     counts: dict = {}
-    for a, b in edges:
-        counts[find(a)] = counts.get(find(a), 0) + 1
-    return all(c % 2 == 0 for c in counts.values())
+    for a, _ in edges:
+        root = find(a)
+        counts[root] = counts.get(root, 0) + 1
+    return list(counts.values())
 
 
 def kl_rademacher_bound(gamma: float) -> tuple[float, float]:

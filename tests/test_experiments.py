@@ -6,6 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
+from tourney_lab import experiments
 from tourney_lab.cli import main
 from tourney_lab.experiments import (
     CSV_HEADER,
@@ -86,6 +87,40 @@ class TestConfigValidation:
     def test_missing_field(self):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"experiment": "recover"})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gamma_spec": {"c": "abc", "alpha": 0.5}},
+            {"gamma_spec": ["x"]},
+            {"gamma_spec": [None]},
+            {"gamma_spec": {"c": 1.0, "alpha": None}},
+            {"n_values": 5},
+            {"experiment": ["recover"]},
+            {"output_path": 5},
+            {"trials": True},
+            {"seed": True},
+            {"threads": True},
+            {"epsilon": True},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
+        ],
+        ids=json.dumps,
+    )
+    def test_wrong_json_types_exit_2(self, tmp_path, overrides):
+        raw = {
+            "experiment": "detect-wedge",
+            "n_values": [10],
+            "gamma_spec": [0.0, 0.4],
+            "trials": 2,
+            "seed": 11,
+            "output_path": str(tmp_path / "rows.csv"),
+            **overrides,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not (tmp_path / "rows.csv").exists()
 
 
 class TestRunSweep:
@@ -172,6 +207,28 @@ class TestRunSweep:
             by_point.setdefault((r.n, r.gamma), {})[r.statistic] = r.value
         for stats in by_point.values():
             assert abs(stats["chi2_exact"] - stats["chi2_fourier"]) < 1e-10
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        run_sweep(make_config(tmp_path))
+        before = out.read_bytes()
+        calls = []
+
+        def failing_format(x):
+            calls.append(x)
+            if len(calls) > 5:
+                raise RuntimeError("disk full")
+            return f"{x:.17g}"
+
+        monkeypatch.setattr(experiments, "_format_float", failing_format)
+        with pytest.raises(RuntimeError):
+            run_sweep(make_config(tmp_path, seed=8))
+        assert out.read_bytes() == before
+        calls.clear()
+        with pytest.raises(RuntimeError):
+            write_summary(summarize(out), out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_spectrum_verify(self, tmp_path):
         cfg = make_config(
@@ -303,6 +360,14 @@ class TestCli:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "content", [b"[1, 2]", b'{"experiment": "\xff"}'], ids=["list", "not-utf8"]
+    )
+    def test_non_object_or_non_utf8_config_exit_code(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["run", "--config", str(path)]) == 2
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 3
 
@@ -317,6 +382,24 @@ class TestCli:
         bad.write_text("x,y\n1,2\n")
         code = main(["summarize", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "field", [b"kendall_error\xff", b"x" * 200_000], ids=["not-utf8", "oversized-field"]
+    )
+    def test_undecodable_csv_is_io_error(self, tmp_path, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(",".join(CSV_HEADER).encode() + b"\nrecover,10,0.1,0," + field + b",7\n")
+        with pytest.raises(MalformedCsvError):
+            summarize(bad)
+        code = main(["summarize", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("experiment, prints", [("detect-wedge", False), ("recover", True)])
+    def test_tie_rule_printed_for_ranking_experiments(self, tmp_path, capsys, experiment, prints):
+        config = self.write_config(tmp_path, experiment=experiment, gamma_spec=[0.1])
+        assert main(["run", "--config", str(config)]) == 0
+        assert ("tie rule:" in capsys.readouterr().out) == prints
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         config = self.write_config(tmp_path, output_path="/proc/nope/rows.csv")
