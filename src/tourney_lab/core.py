@@ -9,7 +9,8 @@ model orients every edge by a fair coin flip.
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,19 @@ _UINT64_MASK = (1 << 64) - 1
 def edge_count(n: int) -> int:
     """Number of unordered vertex pairs on ``n`` vertices."""
     return n * (n - 1) // 2
+
+
+def upper_mask(n: int) -> np.ndarray:
+    """n x n mask of the pairs i < j; its row-major order is the edge order."""
+    return ~np.tri(n, dtype=bool)
+
+
+@functools.cache
+def permutation_table(k: int) -> np.ndarray:
+    """Every permutation of 0..k-1 as a row (int8), rows in lexicographic order."""
+    table = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -86,35 +100,32 @@ class ModelParams:
 class Tournament:
     """Immutable orientation of K_n.
 
-    Signs are stored packed, one bit per unordered pair, in lexicographic
-    order of (i, j) with i < j (0-based vertices).  Bit 1 encodes +1.
+    Signs are stored as one read-only int8 +-1 array, one per unordered pair,
+    in lexicographic order of (i, j) with i < j (0-based vertices): the
+    row-major order of ``upper_mask(n)``.
     """
 
-    __slots__ = ("_n", "_bits")
+    __slots__ = ("_n", "_signs")
 
-    def __init__(self, n: int, packed_bits: np.ndarray):
+    def __init__(self, n: int, signs: np.ndarray):
+        """Store a copy of ``signs``, which must be +-1; from_upper_signs checks them."""
         if n < 1:
             raise ValueError("n must be at least 1")
         m = edge_count(n)
-        expected = (m + 7) // 8
-        bits = np.asarray(packed_bits, dtype=np.uint8)
-        if bits.shape != (expected,):
-            raise ValueError(f"expected {expected} packed bytes, got {bits.shape}")
-        bits = bits.copy()
-        bits.setflags(write=False)
+        signs = np.array(signs, dtype=np.int8)
+        if signs.shape != (m,):
+            raise ValueError(f"expected {m} signs, got shape {signs.shape}")
+        signs.setflags(write=False)
         self._n = n
-        self._bits = bits
+        self._signs = signs
 
     @classmethod
     def from_upper_signs(cls, n: int, signs: np.ndarray) -> "Tournament":
         """Build from the length n(n-1)/2 array of +-1 upper-triangle signs."""
         signs = np.asarray(signs)
-        m = edge_count(n)
-        if signs.shape != (m,):
-            raise ValueError(f"expected {m} signs, got shape {signs.shape}")
-        if m and not np.all(np.abs(signs) == 1):
+        if not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +1 or -1")
-        return cls(n, np.packbits(signs > 0))
+        return cls(n, signs)
 
     @property
     def n(self) -> int:
@@ -125,10 +136,8 @@ class Tournament:
         return edge_count(self._n)
 
     def upper_signs(self) -> np.ndarray:
-        """Signs T_{i,j} for i < j in lexicographic order, as int8 +-1."""
-        m = self.num_edges
-        bits = np.unpackbits(self._bits, count=m)
-        return (2 * bits.astype(np.int8)) - 1
+        """Signs T_{i,j} for i < j in lexicographic order: the stored read-only int8 array."""
+        return self._signs
 
     def sign(self, i: int, j: int) -> int:
         """T_{i,j}: skew-symmetric accessor with zero diagonal."""
@@ -141,20 +150,13 @@ class Tournament:
         if i > j:
             i, j = j, i
             flip = -1
-        idx = i * (2 * n - i - 1) // 2 + (j - i - 1)
-        bit = (self._bits[idx >> 3] >> (7 - (idx & 7))) & 1
-        return flip * (1 if bit else -1)
+        return flip * int(self._signs[i * (2 * n - i - 1) // 2 + (j - i - 1)])
 
     def to_matrix(self) -> np.ndarray:
         """Full n x n skew-symmetric sign matrix (int8)."""
-        n = self._n
-        mat = np.zeros((n, n), dtype=np.int8)
-        if n > 1:
-            iu = np.triu_indices(n, k=1)
-            signs = self.upper_signs()
-            mat[iu] = signs
-            mat[iu[1], iu[0]] = -signs
-        return mat
+        mat = np.zeros((self._n, self._n), dtype=np.int8)
+        mat[upper_mask(self._n)] = self._signs
+        return mat - mat.T
 
     def scores(self) -> np.ndarray:
         """Win scores s_i = sum_k T_{i,k} (int64)."""
@@ -163,10 +165,10 @@ class Tournament:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tournament):
             return NotImplemented
-        return self._n == other._n and np.array_equal(self._bits, other._bits)
+        return self._n == other._n and np.array_equal(self._signs, other._signs)
 
     def __hash__(self) -> int:
-        return hash((self._n, self._bits.tobytes()))
+        return hash((self._n, self._signs.tobytes()))
 
     def __repr__(self) -> str:
         return f"Tournament(n={self._n})"
@@ -231,12 +233,9 @@ class Ranking:
 
     def upper_pairwise_signs(self) -> np.ndarray:
         """pairwise_sign(i, j) for i < j in lexicographic order (int8)."""
-        n = self.n
-        if n == 1:
-            return np.zeros(0, dtype=np.int8)
-        iu = np.triu_indices(n, k=1)
         r = self._ranks
-        return np.where(r[iu[0]] < r[iu[1]], 1, -1).astype(np.int8)
+        above = (r[:, None] < r[None, :])[upper_mask(self.n)]
+        return np.where(above, np.int8(1), np.int8(-1))
 
     def reversed(self) -> "Ranking":
         return Ranking(self.n + 1 - self._ranks)
@@ -259,8 +258,7 @@ def sample_null(n: int, rng: RngStream | np.random.Generator) -> Tournament:
         raise ValueError("n must be at least 1")
     gen = _as_generator(rng)
     m = edge_count(n)
-    bits = gen.integers(0, 2, size=m, dtype=np.uint8)
-    return Tournament(n, np.packbits(bits))
+    return Tournament(n, 2 * gen.integers(0, 2, size=m, dtype=np.int8) - 1)
 
 
 def sample_planted(
@@ -272,8 +270,8 @@ def sample_planted(
     gen = _as_generator(rng)
     m = edge_count(params.n)
     agree = gen.random(m) < (0.5 + params.gamma)
-    signs = np.where(agree, pi.upper_pairwise_signs(), -pi.upper_pairwise_signs())
-    return Tournament(params.n, np.packbits(signs > 0))
+    signs = pi.upper_pairwise_signs()
+    return Tournament(params.n, np.where(agree, signs, -signs))
 
 
 def sample_planted_uniform(
@@ -291,8 +289,7 @@ def sample_planted_uniform(
 
 def induced_tournament(pi: Ranking) -> Tournament:
     """The transitive tournament that orients every edge as ``pi`` does."""
-    signs = pi.upper_pairwise_signs()
-    return Tournament(pi.n, np.packbits(signs > 0))
+    return Tournament(pi.n, pi.upper_pairwise_signs())
 
 
 def _check_same_size(p1: Ranking, p2: Ranking) -> None:

@@ -81,8 +81,6 @@ def wedge_test(t: Tournament, params: ModelParams) -> DetectionVerdict:
 
 def spectral_statistic(t: Tournament) -> float:
     """Largest eigenvalue of i*T, computed as the top singular value of T."""
-    if t.n == 1:
-        return 0.0
     mat = t.to_matrix().astype(np.float64)
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -168,7 +169,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    # JSON integers are unbounded; one too large for a float is not a usable number.
+    return (_is_int(x) and abs(x) <= sys.float_info.max) or isinstance(x, float)
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ class SweepConfig:
         if not isinstance(self.n_values, (list, tuple)) or not self.n_values:
             raise ConfigError("n_values must be a non-empty list")
         for n in self.n_values:
-            if not _is_int(n) or n < 2:
+            if not (_is_int(n) and _is_number(n)) or n < 2:
                 raise ConfigError("every n must be an integer >= 2")
         if isinstance(self.gamma_spec, (list, tuple)):
             if not self.gamma_spec:
@@ -427,6 +429,8 @@ def load_config_file(path) -> dict:
             raw = json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config is not UTF-8 JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("config JSON is nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw

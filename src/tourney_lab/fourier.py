@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams, Tournament, edge_count
+from .core import ModelParams, Ranking, Tournament, edge_count, permutation_table
 
 __all__ = [
     "Shape",
@@ -76,25 +76,11 @@ def monomial_value(t: Tournament, s: Shape) -> int:
     return value
 
 
-# Permutation sign tables, one per vertex count.  perm_table(k) holds every
-# permutation of 0..k-1 as a row; rows are in lexicographic order.
-_PERM_TABLES: dict[int, np.ndarray] = {}
-
-
-def _perm_table(k: int) -> np.ndarray:
-    table = _PERM_TABLES.get(k)
-    if table is None:
-        table = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
-        table.setflags(write=False)
-        _PERM_TABLES[k] = table
-    return table
-
-
 def _signed_inversion_sum(edge_pairs: list[tuple[int, int]], k: int) -> int:
     """Sum over all k! orderings of (-1)^(# edges inverted by the ordering)."""
     if k == 0:
         return 1
-    table = _perm_table(k)
+    table = permutation_table(k)
     inversions = np.zeros(table.shape[0], dtype=np.int64)
     for a, b in edge_pairs:
         inversions += table[:, a] > table[:, b]
@@ -151,16 +137,13 @@ def _planted_pmf(params: ModelParams) -> np.ndarray:
     _check_divergence_size(n)
     m = edge_count(n)
     signs = _all_tournament_signs(m)
-    iu = np.triu_indices(n, k=1)
     # P(T | pi) depends only on the number of edges agreeing with pi.
     agree_prob = np.array(
         [(0.5 + gamma) ** a * (0.5 - gamma) ** (m - a) for a in range(m + 1)]
     )
     pmf = np.zeros(2**m)
     for perm in itertools.permutations(range(n)):
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[list(perm)] = np.arange(1, n + 1)
-        psign = np.where(ranks[iu[0]] < ranks[iu[1]], 1, -1).astype(np.int8)
+        psign = Ranking.from_order(perm).upper_pairwise_signs()
         dots = signs @ psign.astype(np.int64)
         pmf += agree_prob[(dots + m) // 2]
     pmf /= math.factorial(n)

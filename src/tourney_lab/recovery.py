@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import ModelParams, Ranking, Tournament
-from .fourier import _perm_table
+from .core import ModelParams, Ranking, Tournament, permutation_table, upper_mask
 
 __all__ = [
     "MleResult",
@@ -83,7 +82,7 @@ def brute_force_mle(t: Tournament) -> MleResult:
     n = t.n
     if n > MAX_MLE_N:
         raise ValueError(f"brute_force_mle enumerates n! rankings; n={n} exceeds {MAX_MLE_N}")
-    ranks_table = _perm_table(n) + 1  # rows are rank arrays in lex order
+    ranks_table = permutation_table(n) + 1  # rows are rank arrays in lex order
     totals = np.zeros(ranks_table.shape[0], dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
@@ -142,15 +141,11 @@ def rbw_alignment_lower_bound_statistic(t: Tournament) -> int:
     the identity); every tied pair is charged -1.
     """
     s = t.scores()
-    n = t.n
-    if n == 1:
-        return 0
-    iu = np.triu_indices(n, k=1)
-    gt = s[iu[0]] > s[iu[1]]
-    lt = s[iu[0]] < s[iu[1]]
-    b = (t.upper_signs() > 0).astype(np.int64)
-    value = 2 * int(b[gt].sum()) + int(lt.sum()) - 2 * int(b[lt].sum()) - int((~lt).sum())
-    return value
+    upper = upper_mask(t.n)
+    gt = (s[:, None] > s[None, :])[upper]
+    lt = (s[:, None] < s[None, :])[upper]
+    b = t.upper_signs() > 0
+    return 2 * int(b[gt].sum()) + int(lt.sum()) - 2 * int(b[lt].sum()) - int((~lt).sum())
 
 
 def opt_bounds(

@@ -15,6 +15,7 @@ from tourney_lab.core import (
     sample_planted_uniform,
     spearman_footrule,
 )
+from tourney_lab.recovery import rbw_alignment_lower_bound_statistic
 
 
 def cyclic3() -> Tournament:
@@ -205,6 +206,46 @@ class TestInducedTournament:
         assert t.sign(0, 1) == -1
         assert t.sign(0, 2) == 1
         assert t.sign(1, 2) == 1
+
+
+class TestEdgeLayout:
+    """Each vectorized reader of the edge signs agrees with the scalar accessors."""
+
+    @staticmethod
+    def draws(n):
+        """(ranking, tournament) pairs: null and planted draws on fresh streams."""
+        for stream in range(3):
+            gen = RngStream(5, stream).generator()
+            yield random_ranking(n, gen), sample_null(n, gen)
+            yield sample_planted_uniform(ModelParams(n, 0.2), gen)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
+    def test_fast_paths_match_scalar_accessors(self, n):
+        for pi, t in self.draws(n):
+            signs = [[t.sign(i, j) for j in range(n)] for i in range(n)]
+            assert t.to_matrix().tolist() == signs
+            assert t.scores().tolist() == [sum(row) for row in signs]
+            pairs = [pi.pairwise_sign(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert pi.upper_pairwise_signs().tolist() == pairs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
+    def test_rbw_alignment_bound_matches_double_loop(self, n):
+        for _, t in self.draws(n):
+            s = [sum(t.sign(i, k) for k in range(n)) for i in range(n)]
+            expected = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if s[i] == s[j]:
+                        expected -= 1  # every tie is charged -1
+                    else:
+                        expected += t.sign(i, j) * (1 if s[i] > s[j] else -1)
+            assert rbw_alignment_lower_bound_statistic(t) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_upper_signs_are_read_only(self, n):
+        signs = sample_null(n, RngStream(0)).upper_signs()
+        with pytest.raises(ValueError):
+            signs[:] = 1
 
 
 class TestPermutationMetrics:

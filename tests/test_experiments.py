@@ -104,6 +104,15 @@ class TestConfigValidation:
             {"epsilon": True},
             {"epsilon": float("nan")},
             {"epsilon": float("inf")},
+            pytest.param({"gamma_spec": {"c": 10**401, "alpha": 0.5}}, id="huge-c"),
+            pytest.param({"gamma_spec": {"c": 1.0, "alpha": 10**401}}, id="huge-alpha"),
+            pytest.param({"gamma_spec": [10**401]}, id="huge-gamma"),
+            pytest.param({"n_values": [10**401]}, id="huge-n-gamma-list"),
+            pytest.param(
+                {"n_values": [10**401], "gamma_spec": {"c": 1.0, "alpha": 0.5}},
+                id="huge-n-gamma-scaling",
+            ),
+            pytest.param({"epsilon": 10**401}, id="huge-epsilon"),
         ],
         ids=json.dumps,
     )
@@ -361,7 +370,9 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "content", [b"[1, 2]", b'{"experiment": "\xff"}'], ids=["list", "not-utf8"]
+        "content",
+        [b"[1, 2]", b'{"experiment": "\xff"}', b"[" * 100_000],
+        ids=["list", "not-utf8", "nested-100000-deep"],
     )
     def test_non_object_or_non_utf8_config_exit_code(self, tmp_path, content):
         path = tmp_path / "config.json"
