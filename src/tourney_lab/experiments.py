@@ -248,6 +248,8 @@ class SweepConfig:
         for n in self.n_values:
             if not (_is_int(n) and _is_number(n)) or n < 2:
                 raise ConfigError("every n must be an integer >= 2")
+            if n * n > np.iinfo(np.intp).max:
+                raise ConfigError(f"n={n} is too large for an n x n array")
         if isinstance(self.gamma_spec, (list, tuple)):
             if not self.gamma_spec:
                 raise ConfigError("gamma list must be non-empty")

@@ -10,14 +10,13 @@ exact-by-enumeration and guarded to small sizes.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams, Ranking, Tournament, edge_count, permutation_table
+from .core import ModelParams, Tournament, edge_count, permutation_table, upper_mask
 
 __all__ = [
     "Shape",
@@ -39,7 +38,7 @@ MAX_DIVERGENCE_N = 6
 class Shape:
     """A set of undirected labelled edges, indexing the monomial T^S."""
 
-    edges: frozenset = field(default_factory=frozenset)
+    edges: frozenset
 
     def __init__(self, edges=()):
         normalized = set()
@@ -58,8 +57,17 @@ class Shape:
         return tuple(sorted({v for e in self.edges for v in e}))
 
     def component_count(self) -> int:
-        """Connected components among the touched vertices."""
-        return len(_component_edge_counts(self.edges))
+        """Connected components among the touched vertices (union-find)."""
+        parent = {v: v for v in self.vertices()}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in self.edges:
+            parent[find(a)] = find(b)
+        return sum(v == root for v, root in parent.items())
 
     def symmetric_difference(self, other: "Shape") -> "Shape":
         return Shape(self.edges ^ other.edges)
@@ -120,32 +128,34 @@ def _check_divergence_size(n: int) -> None:
         )
 
 
-def _all_tournament_signs(m: int) -> np.ndarray:
-    """All 2^m sign vectors, one tournament per row (int8)."""
-    codes = np.arange(2**m, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(m)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
+def _transitive_codes(n: int) -> np.ndarray:
+    """m-bit code of each hidden ranking's tournament, rankings in permutation_table order.
+
+    Bit e of a code is set when edge e (row-major order of upper_mask) has sign +1.
+    """
+    orders = permutation_table(n)  # each row lists the vertices best-first
+    ranks = np.argsort(orders, axis=1)
+    above = (ranks[:, :, None] < ranks[:, None, :])[:, upper_mask(n)]
+    return above.astype(np.int64) @ (1 << np.arange(edge_count(n), dtype=np.int64))
 
 
 def _planted_pmf(params: ModelParams) -> np.ndarray:
     """Probability of each of the 2^m tournaments under the planted model.
 
-    Tournament r has upper signs _all_tournament_signs(m)[r].  Averages the
-    product edge law over all n! hidden rankings.
+    Tournament T is the integer whose bit e is set when edge e has sign +1.
+    Averages the product edge law over all n! hidden rankings.
     """
     n, gamma = params.n, params.gamma
     _check_divergence_size(n)
     m = edge_count(n)
-    signs = _all_tournament_signs(m)
     # P(T | pi) depends only on the number of edges agreeing with pi.
     agree_prob = np.array(
         [(0.5 + gamma) ** a * (0.5 - gamma) ** (m - a) for a in range(m + 1)]
     )
+    tournaments = np.arange(2**m, dtype=np.int64)
     pmf = np.zeros(2**m)
-    for perm in itertools.permutations(range(n)):
-        psign = Ranking.from_order(perm).upper_pairwise_signs()
-        dots = signs @ psign.astype(np.int64)
-        pmf += agree_prob[(dots + m) // 2]
+    for code in _transitive_codes(n):
+        pmf += agree_prob[m - np.bitwise_count(tournaments ^ code)]
     pmf /= math.factorial(n)
     return pmf
 
@@ -167,55 +177,23 @@ def tv_exact(params: ModelParams) -> float:
 def chi2_fourier(params: ModelParams) -> float:
     """Chi-squared divergence as the sum of squared planted expectations.
 
-    Iterates every shape (edge-subset bitmask of K_n in lexicographic order)
-    and skips shapes with a component of odd edge count, whose expectation
-    vanishes.  Must agree with :func:`chi2_exact` to high precision.
+    E[T^S] = (2*gamma)^|S| times the sign average of shape S over the hidden
+    rankings.  One Walsh-Hadamard transform of the rankings' code histogram
+    gives that average for every shape S (an m-bit edge mask) at once, up to
+    a sign that squaring drops.  Must agree with :func:`chi2_exact` to high
+    precision.
     """
     n, gamma = params.n, params.gamma
     _check_divergence_size(n)
     m = edge_count(n)
-    pairs = list(itertools.combinations(range(n), 2))
-    sign_avg_cache: dict[tuple, Fraction] = {}
-
-    total = 0.0
-    for mask in range(1, 2**m):
-        edges = [pairs[b] for b in range(m) if mask >> b & 1]
-        if any(count % 2 for count in _component_edge_counts(edges)):
-            continue
-        verts = sorted({v for e in edges for v in e})
-        index = {v: i for i, v in enumerate(verts)}
-        key = tuple(sorted((index[a], index[b]) for a, b in edges))
-        avg = sign_avg_cache.get(key)
-        if avg is None:
-            avg = Fraction(_signed_inversion_sum(list(key), len(verts)), math.factorial(len(verts)))
-            sign_avg_cache[key] = avg
-        if avg:
-            total += ((2.0 * gamma) ** len(edges) * float(avg)) ** 2
-    return total
-
-
-def _component_edge_counts(edges) -> list[int]:
-    """Edge count of each connected component of the graph the edges span (union-find).
-
-    Every touched vertex lies on an edge, so there is one count per component.
-    """
-    parent = {v: v for e in edges for v in e}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    counts: dict = {}
-    for a, _ in edges:
-        root = find(a)
-        counts[root] = counts.get(root, 0) + 1
-    return list(counts.values())
+    averages = np.bincount(_transitive_codes(n), minlength=2**m) / math.factorial(n)
+    h = 1
+    while h < averages.size:
+        pair = averages.reshape(-1, 2, h)
+        pair[:, 0], pair[:, 1] = pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]
+        h *= 2
+    weights = (2.0 * gamma) ** (2 * np.bitwise_count(np.arange(2**m)))
+    return float(np.sum(weights[1:] * averages[1:] ** 2))
 
 
 def kl_rademacher_bound(gamma: float) -> tuple[float, float]:

@@ -113,6 +113,7 @@ class TestConfigValidation:
                 id="huge-n-gamma-scaling",
             ),
             pytest.param({"epsilon": 10**401}, id="huge-epsilon"),
+            pytest.param({"n_values": [10**300]}, id="n-too-large-for-an-array"),
         ],
         ids=json.dumps,
     )

@@ -14,6 +14,7 @@ from tourney_lab.core import (
 )
 from tourney_lab.fourier import (
     Shape,
+    _planted_pmf,
     chi2_exact,
     chi2_fourier,
     kl_rademacher_bound,
@@ -47,6 +48,17 @@ def planted_prob(t: Tournament, gamma: float) -> float:
                 prob *= 0.5 + gamma if agrees else 0.5 - gamma
         total += prob
     return total / math.factorial(n)
+
+
+def chi2_mahonian(n: int, gamma: float) -> float:
+    """Closed-form chi2: E over two rankings of (1+4g^2)^agree (1-4g^2)^disagree, minus 1.
+
+    The Kendall distance of two uniform rankings has the Mahonian law, with
+    generating function prod_{j<=n} (1 + r + ... + r^(j-1)) / j.
+    """
+    r = (1 - 4 * gamma**2) / (1 + 4 * gamma**2)
+    mahonian = math.prod(sum(r**k for k in range(j)) / j for j in range(1, n + 1))
+    return (1 + 4 * gamma**2) ** math.comb(n, 2) * mahonian - 1
 
 
 def random_shape(gen, n, max_edges=5) -> Shape:
@@ -195,6 +207,25 @@ class TestDivergences:
                 params = ModelParams(n, gamma)
                 assert abs(chi2_exact(params) - chi2_fourier(params)) < 1e-10
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_chi2_fourier_is_sum_over_shapes(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        shapes = [
+            Shape([pairs[b] for b in range(len(pairs)) if mask >> b & 1])
+            for mask in range(1, 2 ** len(pairs))
+        ]
+        for gamma in (0.1, 0.3, 0.5):
+            expected = sum(planted_expectation(s, gamma) ** 2 for s in shapes)
+            assert chi2_fourier(ModelParams(n, gamma)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chi2_mahonian_closed_form(self, n):
+        for gamma in (0.0, 0.05, 0.1, 0.2, 0.4):
+            params = ModelParams(n, gamma)
+            expected = chi2_mahonian(n, gamma)
+            assert abs(chi2_exact(params) - expected) < 1e-10
+            assert abs(chi2_fourier(params) - expected) < 1e-10
+
     def test_chi2_n3_closed_form(self):
         # only the three wedges contribute: 3 * ((1/3)(2 gamma)^2)^2
         gamma = 0.25
@@ -202,14 +233,22 @@ class TestDivergences:
         assert chi2_fourier(ModelParams(3, gamma)) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1 / 48)
 
-    def test_against_independent_pmf_oracle(self):
-        params = ModelParams(3, 0.3)
-        probs = np.array([planted_prob(t, params.gamma) for t in all_tournaments(3)])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_against_independent_pmf_oracle(self, n):
+        params = ModelParams(n, 0.3)
+        probs = np.array([planted_prob(t, params.gamma) for t in all_tournaments(n)])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        chi2_oracle = float((probs**2).sum() * 8 - 1)
-        tv_oracle = float(0.5 * np.abs(probs - 1 / 8).sum())
+        chi2_oracle = float((probs**2).sum() * probs.size - 1)
+        tv_oracle = float(0.5 * np.abs(probs - 1 / probs.size).sum())
         assert chi2_exact(params) == pytest.approx(chi2_oracle, abs=1e-12)
         assert tv_exact(params) == pytest.approx(tv_oracle, abs=1e-12)
+        # chi2 and tv ignore how tournaments are numbered; the pmf itself does not.
+        # Tournament T is the integer whose bit e is set when edge e has sign +1.
+        codes = [
+            sum(1 << e for e, sign in enumerate(t.upper_signs()) if sign > 0)
+            for t in all_tournaments(n)
+        ]
+        assert np.allclose(_planted_pmf(params)[codes], probs, rtol=1e-12, atol=0)
 
     def test_tv_zero_at_null(self):
         assert tv_exact(ModelParams(3, 0.0)) == pytest.approx(0.0, abs=1e-12)
