@@ -14,7 +14,6 @@ from .experiments import (
     MalformedCsvError,
     SweepConfig,
     load_config_file,
-    resolve_threads,
     run_sweep,
     summarize,
     write_summary,
@@ -49,11 +48,12 @@ def _run(args: argparse.Namespace) -> int:
     raw = load_config_file(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
+    if args.threads is not None:
+        raw["threads"] = args.threads
     if args.out is not None:
         raw["output_path"] = args.out
     config = SweepConfig.from_dict(raw)
-    threads = resolve_threads(config.threads, args.threads)
-    result = run_sweep(config, threads=threads)
+    result = run_sweep(config)
     print(f"wrote {len(result.rows)} rows to {config.output_path}")
     if EXPERIMENTS[config.experiment].prints_tie_rule:
         print(f"tie rule: {TIE_RULE}")
@@ -77,10 +77,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except MalformedCsvError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    except OSError as exc:
+    except (MalformedCsvError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 

@@ -16,7 +16,7 @@ import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,9 +44,7 @@ __all__ = [
     "write_summary",
 ]
 
-CSV_HEADER = ["experiment", "n", "gamma", "trial", "statistic", "value"]
 SUMMARY_HEADER = ["experiment", "n", "gamma", "statistic", "count", "mean", "sd", "success_rate"]
-THREADS_ENV_VAR = "TOURNEY_LAB_THREADS"
 
 # Null calibration for sweep verdicts: a draw is flagged planted when the
 # wedge statistic exceeds this many null standard deviations.
@@ -70,6 +68,9 @@ class SweepRow(NamedTuple):
     value: float
 
 
+CSV_HEADER = list(SweepRow._fields)
+
+
 def _draw_tournament(n: int, gamma: float, rng: RngStream):
     if gamma == 0.0:
         return sample_null(n, rng)
@@ -84,8 +85,8 @@ def _detect_wedge(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple
 
 
 def _detect_spectral(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
-    scaled = detection.spectral_statistic(_draw_tournament(n, gamma, rng)) / math.sqrt(n)
-    return scaled, 1.0 if scaled >= 2.0 + epsilon else 0.0
+    test = detection.spectral_test(_draw_tournament(n, gamma, rng), epsilon)
+    return test.statistic_value, float(test.is_planted)
 
 
 def _recover(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
@@ -180,6 +181,8 @@ class SweepConfig:
     ``gamma_spec`` is either an explicit list of values or a scaling rule
     ``{"c": c, "alpha": a}`` meaning gamma = c * n^(-alpha) at each n.
     ``epsilon`` is the spectral test margin (spectral detection only).
+    Every construction, ``dataclasses.replace`` included, validates the
+    config and raises :class:`ConfigError` if it is invalid.
     """
 
     experiment: str
@@ -191,39 +194,22 @@ class SweepConfig:
     output_path: str = "sweep.csv"
     epsilon: float = 0.1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "experiment",
-            "n_values",
-            "gamma_spec",
-            "trials",
-            "seed",
-            "threads",
-            "output_path",
-            "epsilon",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"experiment", "n_values", "gamma_spec", "trials", "seed"} - set(raw)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
-        n_values = raw["n_values"]
-        cfg = cls(
-            experiment=raw["experiment"],
-            n_values=tuple(n_values) if isinstance(n_values, list) else n_values,
-            gamma_spec=raw["gamma_spec"],
-            trials=raw["trials"],
-            seed=raw["seed"],
-            threads=raw.get("threads", 1),
-            output_path=raw.get("output_path", "sweep.csv"),
-            epsilon=raw.get("epsilon", 0.1),
-        )
-        cfg.validate()
-        return cfg
+        if isinstance(raw["n_values"], list):
+            raw = {**raw, "n_values": tuple(raw["n_values"])}
+        return cls(**raw)
 
     def gammas_for(self, n: int) -> tuple:
         if isinstance(self.gamma_spec, (list, tuple)):
@@ -250,11 +236,15 @@ class SweepConfig:
                 raise ConfigError("every n must be an integer >= 2")
             if n * n > np.iinfo(np.intp).max:
                 raise ConfigError(f"n={n} is too large for an n x n array")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ConfigError("n values must be distinct")
         if isinstance(self.gamma_spec, (list, tuple)):
             if not self.gamma_spec:
                 raise ConfigError("gamma list must be non-empty")
             if not all(_is_number(g) for g in self.gamma_spec):
                 raise ConfigError("every gamma must be a number")
+            if len(set(map(float, self.gamma_spec))) < len(self.gamma_spec):
+                raise ConfigError("gamma values must be distinct")
         elif isinstance(self.gamma_spec, dict):
             if set(self.gamma_spec) != {"c", "alpha"}:
                 raise ConfigError('gamma_spec object must have exactly the keys "c" and "alpha"')
@@ -304,15 +294,13 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     ``threads`` overrides ``config.threads``; neither affects output bytes.
     Rows are sorted by (n, gamma, trial, statistic) before writing.
     """
-    config.validate()
-    workers = config.threads if threads is None else threads
-    if workers < 1:
-        raise ConfigError("threads must be a positive integer")
+    if threads is not None:
+        config = replace(config, threads=threads)
     tasks = _tasks(config)
-    if workers == 1 or len(tasks) <= 1:
+    if config.threads == 1 or len(tasks) <= 1:
         results = [_trial_values(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(_trial_values, tasks))
 
     statistics = EXPERIMENTS[config.experiment].statistics
@@ -360,6 +348,7 @@ def _write_csv(path, header: list, records) -> None:
 
 def read_rows(path) -> list:
     """Parse a sweep CSV back into rows, checking the schema."""
+    converters = (str, int, float, int, str, float)  # one per SweepRow field
     rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -371,18 +360,10 @@ def read_rows(path) -> list:
                 if len(record) != len(CSV_HEADER):
                     raise MalformedCsvError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
                 try:
-                    rows.append(
-                        SweepRow(
-                            experiment=record[0],
-                            n=int(record[1]),
-                            gamma=float(record[2]),
-                            trial=int(record[3]),
-                            statistic=record[4],
-                            value=float(record[5]),
-                        )
-                    )
+                    values = [convert(x) for convert, x in zip(converters, record)]
                 except ValueError as exc:
                     raise MalformedCsvError(f"line {lineno}: {exc}") from exc
+                rows.append(SweepRow._make(values))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise MalformedCsvError(f"unreadable CSV: {exc}") from exc
     return rows
@@ -436,19 +417,3 @@ def load_config_file(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
-
-
-def resolve_threads(config_threads: int, cli_threads: int | None) -> int:
-    """Thread count precedence: CLI flag, then env var, then config value."""
-    if cli_threads is not None:
-        return cli_threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be positive")
-        return value
-    return config_threads

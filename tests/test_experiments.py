@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -88,6 +89,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"experiment": "recover"})
 
+    def test_direct_construction_validates(self):
+        with pytest.raises(ConfigError):
+            SweepConfig("detect-wedge", (10,), [0.1], 0, 1)
+
+    def test_replace_validates(self, tmp_path):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(make_config(tmp_path), threads=0)
+
+    def test_from_dict_takes_defaults_from_the_dataclass(self):
+        minimal = {
+            "experiment": "recover", "n_values": [8], "gamma_spec": [0.1], "trials": 2, "seed": 3
+        }
+        assert SweepConfig.from_dict(minimal) == SweepConfig(
+            "recover", (8,), [0.1], 2, 3, threads=1, output_path="sweep.csv", epsilon=0.1
+        )
+
+        @dataclasses.dataclass(frozen=True)
+        class WideMargin(SweepConfig):
+            epsilon: float = 0.25
+
+        assert WideMargin.from_dict(minimal).epsilon == 0.25
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -114,6 +137,9 @@ class TestConfigValidation:
             ),
             pytest.param({"epsilon": 10**401}, id="huge-epsilon"),
             pytest.param({"n_values": [10**300]}, id="n-too-large-for-an-array"),
+            {"n_values": [10, 10]},
+            {"gamma_spec": [0.1, 0.1]},
+            {"gamma_spec": [0.0, -0.0]},
         ],
         ids=json.dumps,
     )
@@ -353,13 +379,10 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
-    def test_env_var_thread_override(self, tmp_path, monkeypatch):
+    def test_zero_threads_exit_2(self, tmp_path):
         config = self.write_config(tmp_path)
-        a = tmp_path / "env.csv"
-        monkeypatch.setenv("TOURNEY_LAB_THREADS", "2")
-        assert main(["run", "--config", str(config), "--out", str(a)]) == 0
-        monkeypatch.setenv("TOURNEY_LAB_THREADS", "not-a-number")
-        assert main(["run", "--config", str(config), "--out", str(a)]) == 2
+        assert main(["run", "--config", str(config), "--threads", "0"]) == 2
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         config = self.write_config(tmp_path, experiment="nope")

@@ -250,6 +250,16 @@ class TestDivergences:
         ]
         assert np.allclose(_planted_pmf(params)[codes], probs, rtol=1e-12, atol=0)
 
+    def test_pmf_built_once_per_params(self):
+        params = ModelParams(5, 0.2)
+        _planted_pmf.cache_clear()
+        chi2_exact(params)
+        tv_exact(params)
+        info = _planted_pmf.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        with pytest.raises(ValueError):
+            _planted_pmf(params)[0] = 0.0
+
     def test_tv_zero_at_null(self):
         assert tv_exact(ModelParams(3, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
