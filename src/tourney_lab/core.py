@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ def upper_mask(n: int) -> np.ndarray:
 @functools.cache
 def permutation_table(k: int) -> np.ndarray:
     """Every permutation of 0..k-1 as a row (int8), rows in lexicographic order."""
-    table = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    entries = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    table = np.fromiter(entries, np.int8, k * math.factorial(k)).reshape(math.factorial(k), k)
     table.setflags(write=False)
     return table
 
@@ -183,12 +185,7 @@ class Ranking:
         arr = np.asarray(ranks, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("ranks must be a non-empty 1-d sequence")
-        n = arr.size
-        seen = np.zeros(n, dtype=bool)
-        if arr.min() < 1 or arr.max() > n:
-            raise ValueError("ranks must be a permutation of 1..n")
-        seen[arr - 1] = True
-        if not seen.all():
+        if not np.array_equal(np.sort(arr), np.arange(1, arr.size + 1)):
             raise ValueError("ranks must be a permutation of 1..n")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -217,9 +214,6 @@ class Ranking:
     @property
     def ranks(self) -> np.ndarray:
         return self._ranks
-
-    def rank_of(self, i: int) -> int:
-        return int(self._ranks[i])
 
     def order(self) -> np.ndarray:
         """Vertices listed best-first."""

@@ -14,10 +14,11 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -181,7 +182,8 @@ class SweepConfig:
     ``gamma_spec`` is either an explicit list of values or a scaling rule
     ``{"c": c, "alpha": a}`` meaning gamma = c * n^(-alpha) at each n.
     ``epsilon`` is the spectral test margin (spectral detection only).
-    Every construction, ``dataclasses.replace`` included, validates the
+    Every construction, ``dataclasses.replace`` included, freezes the grid
+    (lists become tuples, the rule a read-only mapping), validates the
     config and raises :class:`ConfigError` if it is invalid.
     """
 
@@ -195,6 +197,12 @@ class SweepConfig:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
+        if isinstance(self.n_values, list):
+            object.__setattr__(self, "n_values", tuple(self.n_values))
+        if isinstance(self.gamma_spec, list):
+            object.__setattr__(self, "gamma_spec", tuple(self.gamma_spec))
+        elif isinstance(self.gamma_spec, Mapping):
+            object.__setattr__(self, "gamma_spec", MappingProxyType(dict(self.gamma_spec)))
         self.validate()
 
     @classmethod
@@ -207,12 +215,10 @@ class SweepConfig:
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
-        if isinstance(raw["n_values"], list):
-            raw = {**raw, "n_values": tuple(raw["n_values"])}
         return cls(**raw)
 
     def gammas_for(self, n: int) -> tuple:
-        if isinstance(self.gamma_spec, (list, tuple)):
+        if isinstance(self.gamma_spec, tuple):
             return tuple(float(g) for g in self.gamma_spec)
         return (float(self.gamma_spec["c"]) * float(n) ** -float(self.gamma_spec["alpha"]),)
 
@@ -229,7 +235,7 @@ class SweepConfig:
             raise ConfigError("seed must be an integer")
         if not isinstance(self.output_path, str):
             raise ConfigError("output_path must be a string")
-        if not isinstance(self.n_values, (list, tuple)) or not self.n_values:
+        if not isinstance(self.n_values, tuple) or not self.n_values:
             raise ConfigError("n_values must be a non-empty list")
         for n in self.n_values:
             if not (_is_int(n) and _is_number(n)) or n < 2:
@@ -238,14 +244,14 @@ class SweepConfig:
                 raise ConfigError(f"n={n} is too large for an n x n array")
         if len(set(self.n_values)) < len(self.n_values):
             raise ConfigError("n values must be distinct")
-        if isinstance(self.gamma_spec, (list, tuple)):
+        if isinstance(self.gamma_spec, tuple):
             if not self.gamma_spec:
                 raise ConfigError("gamma list must be non-empty")
             if not all(_is_number(g) for g in self.gamma_spec):
                 raise ConfigError("every gamma must be a number")
             if len(set(map(float, self.gamma_spec))) < len(self.gamma_spec):
                 raise ConfigError("gamma values must be distinct")
-        elif isinstance(self.gamma_spec, dict):
+        elif isinstance(self.gamma_spec, Mapping):
             if set(self.gamma_spec) != {"c", "alpha"}:
                 raise ConfigError('gamma_spec object must have exactly the keys "c" and "alpha"')
             if not all(_is_number(v) for v in self.gamma_spec.values()):
@@ -292,15 +298,17 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     """Run every trial of the sweep and write the result CSV.
 
     ``threads`` overrides ``config.threads``; neither affects output bytes.
-    Rows are sorted by (n, gamma, trial, statistic) before writing.
+    Workers are capped at one per trial and per CPU; a single worker is this
+    process.  Rows are sorted by (n, gamma, trial, statistic) before writing.
     """
     if threads is not None:
         config = replace(config, threads=threads)
     tasks = _tasks(config)
-    if config.threads == 1 or len(tasks) <= 1:
+    workers = min(config.threads, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = [_trial_values(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_values, tasks))
 
     statistics = EXPERIMENTS[config.experiment].statistics

@@ -115,10 +115,7 @@ def planted_expectation(s: Shape, gamma: float) -> float:
     Only the relative order of the touched vertices matters, so the average
     runs over |V(S)|! orderings rather than all of S_n.
     """
-    avg = planted_sign_average(s)
-    if avg == 0:
-        return 0.0
-    return (2.0 * gamma) ** s.num_edges * float(avg)
+    return (2.0 * gamma) ** s.num_edges * float(planted_sign_average(s))
 
 
 def _check_divergence_size(n: int) -> None:

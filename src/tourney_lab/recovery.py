@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import ModelParams, Ranking, Tournament, permutation_table, upper_mask
 
@@ -129,7 +128,8 @@ def concavity_check(a: float, b: float, grid: int) -> bool:
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     y = np.linspace(0.0, 1.0, grid)
-    g = (1.0 - y) * ndtr(-a * y - b)
+    # Phi(-a*y - b) = erfc((a*y + b) / sqrt 2) / 2, the Phi of expected_error_bound.
+    g = (1.0 - y) * 0.5 * np.array([math.erfc((a * v + b) / math.sqrt(2.0)) for v in y])
     second_diff = g[2:] - 2.0 * g[1:-1] + g[:-2]
     return bool(np.all(second_diff <= 1e-9))
 

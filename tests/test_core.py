@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from tourney_lab.core import (
     edge_count,
     induced_tournament,
     kendall_tau,
+    permutation_table,
     sample_null,
     sample_planted,
     sample_planted_uniform,
@@ -70,6 +75,10 @@ class TestRanking:
             Ranking([1, 1, 3])
         with pytest.raises(ValueError):
             Ranking([0, 1, 2])
+        with pytest.raises(ValueError):
+            Ranking([2, 3, 4])
+        with pytest.raises(ValueError):
+            Ranking([[1, 2]])
         with pytest.raises(ValueError):
             Ranking([])
 
@@ -246,6 +255,27 @@ class TestEdgeLayout:
         signs = sample_null(n, RngStream(0)).upper_signs()
         with pytest.raises(ValueError):
             signs[:] = 1
+
+
+class TestPermutationTable:
+    @pytest.mark.parametrize("k", range(8))
+    def test_rows_are_every_permutation_in_lexicographic_order(self, k):
+        table = permutation_table(k)
+        expected = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert table.shape == expected.shape == (math.factorial(k), k)
+        assert np.array_equal(table, expected)
+
+    def test_built_without_materializing_tuples(self):
+        # A list of k! Python tuples peaks at about 19x the table's bytes at k = 8.
+        permutation_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = permutation_table(8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.nbytes
 
 
 class TestPermutationMetrics:

@@ -2,7 +2,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,21 @@ class TestConfigValidation:
 
         assert WideMargin.from_dict(minimal).epsilon == 0.25
 
+    def test_grid_is_frozen(self, tmp_path):
+        with pytest.raises(AttributeError):
+            make_config(tmp_path).gamma_spec.append(0.9)
+        rule = {"c": 1.0, "alpha": 0.5}
+        scaled = make_config(tmp_path, gamma_spec=rule)
+        with pytest.raises(TypeError):
+            scaled.gamma_spec["c"] = 9.0
+        rule["alpha"] = 0.0  # the config keeps its own copy of the rule
+        assert scaled.gammas_for(4) == (0.5,)
+        direct = SweepConfig("detect-wedge", [10, 12], [0.1], 1, 1)
+        assert direct.n_values == (10, 12) and direct.gamma_spec == (0.1,)
+        assert dataclasses.replace(scaled, seed=2).gamma_spec == {"c": 1.0, "alpha": 0.5}
+        with pytest.raises(ConfigError):
+            dataclasses.replace(scaled, gamma_spec={"c": 1.0, "alpha": 2.0})
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -184,6 +203,33 @@ class TestRunSweep:
         run_sweep(cfg1, threads=1)
         run_sweep(cfg2, threads=3)
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("cpus, pools", [(8, [2]), (1, []), (None, [])])
+    def test_workers_capped_by_trials_and_cpus(self, tmp_path, monkeypatch, cpus, pools):
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        grid = {"gamma_spec": [0.3], "trials": 2}
+        wide = make_config(tmp_path, threads=64, **grid)
+        serial = make_config(tmp_path, output_path=str(tmp_path / "serial.csv"), **grid)
+        run_sweep(wide)
+        run_sweep(serial)
+        assert built == pools
+        assert Path(wide.output_path).read_bytes() == Path(serial.output_path).read_bytes()
 
     def test_reruns_are_identical(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -353,6 +399,17 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         return path
+
+    def test_cli_imports_no_scipy(self):
+        code = (
+            "import sys, tourney_lab.cli;"
+            " print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_run_and_summarize(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
