@@ -12,6 +12,7 @@ from tourney_lab.core import (
     induced_tournament,
     sample_null,
     sample_planted_uniform,
+    upper_mask,
 )
 from tourney_lab.detection import (
     DetectionVerdict,
@@ -38,6 +39,12 @@ def wedge_direct(t: Tournament) -> int:
         v = mat[i]
         total += int(np.outer(v, v)[iu].sum())  # pairs through i; v[i] = 0
     return total
+
+
+def rotational(n: int) -> Tournament:
+    """Regular tournament on odd n: i beats i+1, ..., i+(n-1)/2 (mod n)."""
+    gap = (np.arange(n) - np.arange(n)[:, None]) % n
+    return Tournament.from_upper_signs(n, np.where(gap <= n // 2, 1, -1)[upper_mask(n)])
 
 
 def relabel(t: Tournament, perm: np.ndarray) -> Tournament:
@@ -90,6 +97,14 @@ class TestWedgeMoments:
     def test_planted_mean_formula(self):
         assert wedge_planted_mean(ModelParams(10, 0.0)) == 0.0
         assert wedge_planted_mean(ModelParams(50, 0.1)) == pytest.approx(784.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 100, 2000])
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 0.25, 0.5])
+    def test_degree_two_identity(self, n, gamma):
+        # planted mean^2 / null second moment is the whole degree-2 part of
+        # chi^2, so the wedge is the optimal degree-2 test
+        snr = wedge_planted_mean(ModelParams(n, gamma)) ** 2 / wedge_null_moments(n)[1]
+        assert snr == pytest.approx(16 * gamma**4 * math.comb(n, 3) / 3, rel=1e-12)
 
     def test_planted_mean_by_enumeration(self):
         # exact E_P[f] at n=3, gamma=0.25 over 8 tournaments x 6 rankings
@@ -195,11 +210,30 @@ class TestSpectralStatistic:
             assert abs(spectral_statistic(t) - lam_max) <= 1e-8 * math.sqrt(n)
 
     def test_equals_largest_singular_value(self):
-        gen = RngStream(11).generator()
-        for n in (4, 16, 64):
-            t = sample_null(n, gen)
-            sv = float(np.linalg.svd(t.to_matrix().astype(float), compute_uv=False)[0])
-            assert abs(spectral_statistic(t) - sv) <= 1e-8 * math.sqrt(n)
+        # the full SVD is the oracle for the Lanczos iteration
+        for n in (1, 2, 3, 4, 5, 16, 17, 64, 200, 400):
+            draws = [sample_null(n, RngStream(11, n)), induced_tournament(Ranking.identity(n))]
+            for k, gamma in enumerate((0.5 / math.sqrt(n), 1.5 / math.sqrt(n), 0.5)):
+                params = ModelParams(n, min(gamma, 0.5))
+                draws.append(sample_planted_uniform(params, RngStream(12 + k, n))[1])
+            if n % 2:
+                draws.append(rotational(n))
+                assert not draws[-1].scores().any()  # T 1 = 0: ones is no start vector
+            for t in draws:
+                sv = float(np.linalg.svd(t.to_matrix().astype(float), compute_uv=False)[0])
+                assert abs(spectral_statistic(t) - sv) <= 1e-12 * sv, (n, t.upper_signs())
+
+    def test_value_depends_on_tournament_only(self):
+        draws = [
+            sample_null(200, RngStream(14)),
+            sample_planted_uniform(ModelParams(300, 0.1), RngStream(15))[1],
+        ]
+        first = [spectral_statistic(t) for t in draws]
+        np.random.standard_normal(1000)  # moves the global RNG state
+        spectral_statistic(sample_null(257, RngStream(16)))
+        copies = [Tournament.from_upper_signs(t.n, t.upper_signs()) for t in draws]
+        again = [spectral_statistic(t) for t in copies[::-1]]
+        assert first == again[::-1]  # bit for bit
 
     @pytest.mark.parametrize("n", [400, 1600])
     def test_null_edge_scaling(self, n):
@@ -208,6 +242,24 @@ class TestSpectralStatistic:
             t = sample_null(n, RngStream(200 + n, k))
             values.append(spectral_statistic(t) / math.sqrt(n))
         assert 1.9 <= float(np.median(values)) <= 2.1
+
+    def test_outlier_follows_bbp_curve(self):
+        # At gamma = c / sqrt(n) the mean matrix has top eigenvalue theta sqrt(n),
+        # theta = 4c / pi; the scaled statistic sits at the bulk edge 2 for
+        # theta < 1 and tracks theta + 1/theta above it.
+        def curve(theta):
+            return theta + 1 / theta if theta > 1 else 2.0
+
+        margin = (curve(6 / math.pi) - 2.0) / 4  # a quarter of the c = 1.5 outlier gap
+        for n in (400, 800):
+            for c in (0.5, 1.5, 2.5):
+                params = ModelParams(n, c / math.sqrt(n))
+                values = [
+                    spectral_statistic(sample_planted_uniform(params, RngStream(302, k))[1])
+                    for k in range(11)
+                ]
+                median = float(np.median(values)) / math.sqrt(n)
+                assert abs(median - curve(4 * c / math.pi)) <= margin, (n, c, median)
 
 
 class TestSpectralTest:

@@ -400,16 +400,21 @@ class TestCli:
         path.write_text(json.dumps(raw))
         return path
 
-    def test_cli_imports_no_scipy(self):
+    def test_cli_imports_no_scipy(self, tmp_path):
+        # a spectral sweep runs first, so a lazy import on that path shows too
+        config = self.write_config(
+            tmp_path, experiment="detect-spectral", n_values=[8], gamma_spec=[0.0], trials=1
+        )
         code = (
             "import sys, tourney_lab.cli;"
+            f" assert tourney_lab.cli.main(['run', '--config', {str(config)!r}]) == 0;"
             " print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_run_and_summarize(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -435,6 +440,15 @@ class TestCli:
         main(["run", "--config", str(config), "--out", str(c), "--seed", "12345"])
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+    def test_spectral_rows_independent_of_thread_count(self, tmp_path):
+        config = self.write_config(
+            tmp_path, experiment="detect-spectral", n_values=[9, 64], gamma_spec=[0.0, 0.2]
+        )
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["run", "--config", str(config), "--out", str(a), "--threads", "1"]) == 0
+        assert main(["run", "--config", str(config), "--out", str(b), "--threads", "2"]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_zero_threads_exit_2(self, tmp_path):
         config = self.write_config(tmp_path)
