@@ -52,6 +52,25 @@ def permutation_table(k: int) -> np.ndarray:
     return table
 
 
+def tournament_code(signs: np.ndarray) -> int:
+    """Integer whose bit e is set when edge e (row-major order of upper_mask) is positive."""
+    return sum(1 << e for e in np.flatnonzero(np.asarray(signs) > 0).tolist())
+
+
+@functools.cache
+def ranking_codes(k: int) -> np.ndarray:
+    """Read-only int64 tournament_code of every ranking of k items, built one edge at a time.
+
+    Row r codes the rank array permutation_table(k)[r] + 1: rank arrays in lexicographic order.
+    """
+    table = permutation_table(k)
+    codes = np.zeros(table.shape[0], dtype=np.int64)
+    for bit, (i, j) in enumerate(zip(*np.nonzero(upper_mask(k)))):
+        np.bitwise_or(codes, 1 << bit, out=codes, where=table[:, i] < table[:, j])
+    codes.setflags(write=False)
+    return codes
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream: (seed, stream_index) fixes every draw.
@@ -182,12 +201,13 @@ class Ranking:
     __slots__ = ("_ranks",)
 
     def __init__(self, ranks):
-        arr = np.asarray(ranks, dtype=np.int64)
+        arr = np.asarray(ranks)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("ranks must be a non-empty 1-d sequence")
+        # Check before the int cast, which would truncate 1.5 to 1.
         if not np.array_equal(np.sort(arr), np.arange(1, arr.size + 1)):
             raise ValueError("ranks must be a permutation of 1..n")
-        arr = arr.copy()
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         self._ranks = arr
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams, Tournament, edge_count, permutation_table, upper_mask
+from .core import ModelParams, Tournament, edge_count, ranking_codes, tournament_code, upper_mask
 
 __all__ = [
     "Shape",
@@ -85,17 +85,6 @@ def monomial_value(t: Tournament, s: Shape) -> int:
     return value
 
 
-def _signed_inversion_sum(edge_pairs: list[tuple[int, int]], k: int) -> int:
-    """Sum over all k! orderings of (-1)^(# edges inverted by the ordering)."""
-    if k == 0:
-        return 1
-    table = permutation_table(k)
-    inversions = np.zeros(table.shape[0], dtype=np.int64)
-    for a, b in edge_pairs:
-        inversions += table[:, a] > table[:, b]
-    return int(((inversions & 1) == 0).sum() - ((inversions & 1) == 1).sum())
-
-
 def planted_sign_average(s: Shape) -> Fraction:
     """Exact average of (-1)^(# inverted edges) over orders of the vertices."""
     verts = s.vertices()
@@ -104,9 +93,13 @@ def planted_sign_average(s: Shape) -> Fraction:
         raise ValueError(
             f"shape touches {k} vertices; enumeration is guarded to {MAX_SHAPE_VERTICES}"
         )
+    # Relabel the vertices 0..k-1; a ranking inverts edge (a, b), a < b, when its code bit is 0.
     index = {v: i for i, v in enumerate(verts)}
-    pairs = [(index[a], index[b]) for a, b in s.edges]
-    return Fraction(_signed_inversion_sum(pairs, k), math.factorial(k))
+    edges = np.zeros((k, k), dtype=bool)
+    for a, b in s.edges:
+        edges[index[a], index[b]] = True
+    inverted = np.bitwise_count(~ranking_codes(k) & tournament_code(edges[upper_mask(k)]))
+    return Fraction(inverted.size - 2 * int(np.count_nonzero(inverted & 1)), inverted.size)
 
 
 def planted_expectation(s: Shape, gamma: float) -> float:
@@ -124,17 +117,6 @@ def _check_divergence_size(n: int) -> None:
             f"exact divergences enumerate 2^(n(n-1)/2) tournaments; n={n} exceeds "
             f"the guard n <= {MAX_DIVERGENCE_N}"
         )
-
-
-def _transitive_codes(n: int) -> np.ndarray:
-    """m-bit code of each hidden ranking's tournament, rankings in permutation_table order.
-
-    Bit e of a code is set when edge e (row-major order of upper_mask) has sign +1.
-    """
-    orders = permutation_table(n)  # each row lists the vertices best-first
-    ranks = np.argsort(orders, axis=1)
-    above = (ranks[:, :, None] < ranks[:, None, :])[:, upper_mask(n)]
-    return above.astype(np.int64) @ (1 << np.arange(edge_count(n), dtype=np.int64))
 
 
 @functools.lru_cache(maxsize=1)
@@ -155,7 +137,7 @@ def _planted_pmf(params: ModelParams) -> np.ndarray:
     )
     tournaments = np.arange(2**m, dtype=np.int64)
     pmf = np.zeros(2**m)
-    for code in _transitive_codes(n):
+    for code in ranking_codes(n):
         pmf += agree_prob[m - np.bitwise_count(tournaments ^ code)]
     pmf /= math.factorial(n)
     pmf.setflags(write=False)
@@ -188,7 +170,7 @@ def chi2_fourier(params: ModelParams) -> float:
     n, gamma = params.n, params.gamma
     _check_divergence_size(n)
     m = edge_count(n)
-    averages = np.bincount(_transitive_codes(n), minlength=2**m) / math.factorial(n)
+    averages = np.bincount(ranking_codes(n), minlength=2**m) / math.factorial(n)
     h = 1
     while h < averages.size:
         pair = averages.reshape(-1, 2, h)

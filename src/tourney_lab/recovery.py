@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Ranking, Tournament, permutation_table, upper_mask
+from .core import (
+    ModelParams, Ranking, Tournament, permutation_table, ranking_codes, tournament_code, upper_mask
+)
 
 __all__ = [
     "MleResult",
@@ -81,18 +83,13 @@ def brute_force_mle(t: Tournament) -> MleResult:
     n = t.n
     if n > MAX_MLE_N:
         raise ValueError(f"brute_force_mle enumerates n! rankings; n={n} exceeds {MAX_MLE_N}")
-    ranks_table = permutation_table(n) + 1  # rows are rank arrays in lex order
-    totals = np.zeros(ranks_table.shape[0], dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            tij = t.sign(i, j)
-            totals += np.where(ranks_table[:, i] < ranks_table[:, j], tij, -tij)
-    best_idx = int(np.argmax(totals))
-    best = int(totals[best_idx])
+    # A ranking's alignment is m - 2 * (edges it disagrees with); argmin takes the first row.
+    disagree = np.bitwise_count(ranking_codes(n) ^ tournament_code(t.upper_signs()))
+    best_idx = int(np.argmin(disagree))
     return MleResult(
-        best_ranking=Ranking(ranks_table[best_idx].astype(np.int64)),
-        best_alignment=best,
-        optima_count=int((totals == best).sum()),
+        best_ranking=Ranking(permutation_table(n)[best_idx] + 1),
+        best_alignment=t.num_edges - 2 * int(disagree[best_idx]),
+        optima_count=int(np.count_nonzero(disagree == disagree[best_idx])),
     )
 
 

@@ -15,10 +15,12 @@ from tourney_lab.core import (
     induced_tournament,
     kendall_tau,
     permutation_table,
+    ranking_codes,
     sample_null,
     sample_planted,
     sample_planted_uniform,
     spearman_footrule,
+    tournament_code,
 )
 from tourney_lab.recovery import rbw_alignment_lower_bound_statistic
 
@@ -81,6 +83,13 @@ class TestRanking:
             Ranking([[1, 2]])
         with pytest.raises(ValueError):
             Ranking([])
+        # Non-integer ranks are rejected, not truncated to a permutation.
+        with pytest.raises(ValueError):
+            Ranking([1.5, 2.5])
+        with pytest.raises(ValueError):
+            Ranking(np.array([1.9, 2.2]))
+        pi = Ranking([2.0, 1.0])
+        assert pi == Ranking([2, 1]) and pi.ranks.dtype == np.int64
 
     def test_pairwise_sign(self):
         pi = Ranking([2, 1, 3])
@@ -276,6 +285,34 @@ class TestPermutationTable:
         finally:
             tracemalloc.stop()
         assert peak < 2 * table.nbytes
+
+
+def bit_code(signs) -> int:
+    """Tournament code by definition: bit e is set when edge e has sign +1."""
+    return sum(1 << e for e, sign in enumerate(signs) if sign > 0)
+
+
+class TestRankingCodes:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_row_codes_the_rank_array_of_permutation_table(self, k):
+        codes = ranking_codes(k)
+        assert codes.dtype == np.int64 and not codes.flags.writeable
+        assert codes.shape == (math.factorial(k),)
+        for row, code in zip(permutation_table(k), codes.tolist()):
+            signs = induced_tournament(Ranking(row + 1)).upper_signs()
+            assert code == bit_code(signs.tolist()) == tournament_code(signs)
+
+    def test_built_one_edge_at_a_time(self):
+        # An n! x n x n pairwise-order array peaks at about 50x the codes' bytes at k = 9.
+        permutation_table(9)
+        ranking_codes.cache_clear()
+        tracemalloc.start()
+        try:
+            codes = ranking_codes(9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * codes.nbytes
 
 
 class TestPermutationMetrics:

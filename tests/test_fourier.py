@@ -139,6 +139,18 @@ class TestPlantedExpectation:
                 planted_expectation(s1, gamma) * planted_expectation(s2, gamma), rel=1e-12
             )
 
+    def test_empty_shape_averages_to_one(self):
+        assert planted_sign_average(Shape()) == 1
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_path_shape_gives_tangent_numbers(self, k):
+        # The path inverts each descent of an order, and the descent-signed sum over
+        # all k! orders is 0 for even k and (-1)^((k-1)/2) T_k for odd k.
+        tangent = {3: 2, 5: 16, 7: 272, 9: 7936}
+        expected = 0 if k % 2 == 0 else (-1) ** ((k - 1) // 2) * tangent[k]
+        path = Shape([(v, v + 1) for v in range(k - 1)])
+        assert planted_sign_average(path) * math.factorial(k) == expected
+
     def test_edge_decay_bound(self):
         gen = RngStream(3).generator()
         for _ in range(30):

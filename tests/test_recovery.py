@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -143,7 +144,40 @@ class TestPessimisticError:
         assert values.std() <= 10 * n**1.5
 
 
+def mle_oracle(t: Tournament) -> tuple:
+    """Maximum alignment, its maximizer count, and the smallest maximizing rank tuple."""
+    n = t.n
+    sign = [[t.sign(i, j) for j in range(n)] for i in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    best, count, first = None, 0, None
+    for ranks in itertools.permutations(range(1, n + 1)):
+        value = sum(sign[i][j] if ranks[i] < ranks[j] else -sign[i][j] for i, j in pairs)
+        if best is None or value > best:
+            best, count, first = value, 1, ranks
+        elif value == best:
+            count += 1
+    return best, count, first
+
+
 class TestBruteForceMle:
+    @staticmethod
+    def assert_matches_oracle(t: Tournament) -> int:
+        result = brute_force_mle(t)
+        best, count, first = mle_oracle(t)
+        assert (result.best_alignment, result.optima_count) == (best, count)
+        assert tuple(result.best_ranking.ranks.tolist()) == first
+        return count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_small_tournament_matches_oracle(self, n):
+        for signs in itertools.product((-1, 1), repeat=n * (n - 1) // 2):
+            self.assert_matches_oracle(Tournament.from_upper_signs(n, np.array(signs)))
+
+    def test_null_draws_match_oracle(self):
+        gen = RngStream(70).generator()
+        counts = [self.assert_matches_oracle(sample_null(6, gen)) for _ in range(20)]
+        assert max(counts) > 1  # the tie-break is exercised
+
     def test_transitive(self):
         pi = Ranking([2, 3, 1])
         result = brute_force_mle(induced_tournament(pi))
