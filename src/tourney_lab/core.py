@@ -5,13 +5,15 @@ stored as one sign per unordered pair: ``sign(i, j) = +1`` means the edge
 points from ``i`` to ``j`` (``i`` beats ``j``).  The planted model biases
 each edge towards the orientation implied by a hidden ranking; the null
 model orients every edge by a fair coin flip.
+
+A planted draw makes one pass over the pairs: one comparison of the hidden
+ranks, fused with the coin flips into int8 signs.  Win scores are read off
+the upper triangle alone, without building the skew-symmetric matrix.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +45,44 @@ def upper_mask(n: int) -> np.ndarray:
     return ~np.tri(n, dtype=bool)
 
 
+def _scatter_upper(n: int, signs: np.ndarray) -> np.ndarray:
+    """n x n int8 matrix holding ``signs`` above the diagonal and zeros elsewhere."""
+    mat = np.zeros((n, n), dtype=np.int8)
+    mat[upper_mask(n)] = signs
+    return mat
+
+
+def _ranked_above(ranks: np.ndarray) -> np.ndarray:
+    """Bool ranks[i] < ranks[j] for every pair i < j, in the row-major order of upper_mask."""
+    # Ranks are 1..n: the narrowest unsigned type holding n makes the n x n comparison cheaper.
+    r = ranks.astype(np.min_scalar_type(ranks.size))
+    return (r[:, None] < r[None, :])[upper_mask(r.size)]
+
+
+def _as_signs(flags: np.ndarray) -> np.ndarray:
+    """Overwrite a bool array in place with +1 for True, -1 for False; return its int8 view."""
+    signs = flags.view(np.int8)
+    signs <<= 1
+    signs -= 1
+    return signs
+
+
 @functools.cache
 def permutation_table(k: int) -> np.ndarray:
-    """Every permutation of 0..k-1 as a row (int8), rows in lexicographic order."""
-    entries = itertools.chain.from_iterable(itertools.permutations(range(k)))
-    table = np.fromiter(entries, np.int8, k * math.factorial(k)).reshape(math.factorial(k), k)
+    """Every permutation of 0..k-1 as a row (int8), rows in lexicographic order.
+
+    Level k is built from level k - 1: one block per leading value v, holding
+    the shorter rows with every entry >= v shifted up by one.  The shift keeps
+    order, so each block, and the whole table, stays lexicographic.
+    """
+    table = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, k + 1):
+        shorter, rows = table, table.shape[0]
+        table = np.empty((rows * size, size), dtype=np.int8)
+        for v in range(size):
+            block = table[v * rows : (v + 1) * rows]
+            block[:, 0] = v
+            np.add(shorter, shorter >= v, out=block[:, 1:])
     table.setflags(write=False)
     return table
 
@@ -175,13 +210,19 @@ class Tournament:
 
     def to_matrix(self) -> np.ndarray:
         """Full n x n skew-symmetric sign matrix (int8)."""
-        mat = np.zeros((self._n, self._n), dtype=np.int8)
-        mat[upper_mask(self._n)] = self._signs
+        mat = _scatter_upper(self._n, self._signs)
         return mat - mat.T
 
     def scores(self) -> np.ndarray:
-        """Win scores s_i = sum_k T_{i,k} (int64)."""
-        return self.to_matrix().sum(axis=1, dtype=np.int64)
+        """Win scores s_i = sum_k T_{i,k} (int64), without the skew matrix.
+
+        s_i is row i minus column i of the upper triangle.  |s_i| <= n - 1, so
+        the sums run in int32; they are returned as int64 because callers
+        square them.
+        """
+        upper = _scatter_upper(self._n, self._signs)
+        wins = upper.sum(axis=1, dtype=np.int32) - upper.sum(axis=0, dtype=np.int32)
+        return wins.astype(np.int64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tournament):
@@ -195,19 +236,24 @@ class Tournament:
         return f"Tournament(n={self._n})"
 
 
+def _as_permutation(values, first: int, name: str) -> np.ndarray:
+    """``values`` as int64, checked to be a permutation of first..first + n - 1."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    # Check before the int cast, which would truncate 1.5 to 1.
+    if not np.array_equal(np.sort(arr), np.arange(first, first + arr.size)):
+        raise ValueError(f"{name} must be a permutation of {first}..{first + arr.size - 1}")
+    return arr.astype(np.int64)
+
+
 class Ranking:
     """Permutation of n items; ranks[i] is the rank of item i, 1 = best."""
 
     __slots__ = ("_ranks",)
 
     def __init__(self, ranks):
-        arr = np.asarray(ranks)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("ranks must be a non-empty 1-d sequence")
-        # Check before the int cast, which would truncate 1.5 to 1.
-        if not np.array_equal(np.sort(arr), np.arange(1, arr.size + 1)):
-            raise ValueError("ranks must be a permutation of 1..n")
-        arr = arr.astype(np.int64)
+        arr = _as_permutation(ranks, 1, "ranks")
         arr.setflags(write=False)
         self._ranks = arr
 
@@ -222,7 +268,7 @@ class Ranking:
     @classmethod
     def from_order(cls, order) -> "Ranking":
         """Build from a list of vertices given best-first."""
-        order = np.asarray(order, dtype=np.int64)
+        order = _as_permutation(order, 0, "order")
         ranks = np.empty(order.size, dtype=np.int64)
         ranks[order] = np.arange(1, order.size + 1)
         return cls(ranks)
@@ -246,10 +292,8 @@ class Ranking:
         return 1 if self._ranks[i] < self._ranks[j] else -1
 
     def upper_pairwise_signs(self) -> np.ndarray:
-        """pairwise_sign(i, j) for i < j in lexicographic order (int8)."""
-        r = self._ranks
-        above = (r[:, None] < r[None, :])[upper_mask(self.n)]
-        return np.where(above, np.int8(1), np.int8(-1))
+        """pairwise_sign(i, j) for i < j in lexicographic order (a fresh int8 array)."""
+        return _as_signs(_ranked_above(self._ranks))
 
     def reversed(self) -> "Ranking":
         return Ranking(self.n + 1 - self._ranks)
@@ -278,14 +322,19 @@ def sample_null(n: int, rng: RngStream | np.random.Generator) -> Tournament:
 def sample_planted(
     params: ModelParams, pi: Ranking, rng: RngStream | np.random.Generator
 ) -> Tournament:
-    """Tournament whose edges agree with ``pi`` with probability 1/2 + gamma."""
+    """Tournament whose edges agree with ``pi`` with probability 1/2 + gamma.
+
+    One pass: edge (i, j) is +1 exactly when "i is ranked above j" equals
+    "the edge agrees with pi", computed in place on the int8 view of the
+    coin flips.
+    """
     if pi.n != params.n:
         raise ValueError(f"ranking has {pi.n} items but params.n = {params.n}")
     gen = _as_generator(rng)
     m = edge_count(params.n)
     agree = gen.random(m) < (0.5 + params.gamma)
-    signs = pi.upper_pairwise_signs()
-    return Tournament(params.n, np.where(agree, signs, -signs))
+    np.equal(_ranked_above(pi.ranks), agree, out=agree)
+    return Tournament(params.n, _as_signs(agree))
 
 
 def sample_planted_uniform(

@@ -90,6 +90,12 @@ class TestRanking:
             Ranking(np.array([1.9, 2.2]))
         pi = Ranking([2.0, 1.0])
         assert pi == Ranking([2, 1]) and pi.ranks.dtype == np.int64
+        # from_order checks for a permutation of 0..n-1 before its int cast too.
+        with pytest.raises(ValueError):
+            Ranking.from_order([1.7, 0.2])
+        with pytest.raises(ValueError):
+            Ranking.from_order([0.5, 1.5])
+        assert Ranking.from_order([1.0, 0.0]) == Ranking([2, 1])
 
     def test_pairwise_sign(self):
         pi = Ranking([2, 1, 3])
@@ -168,6 +174,28 @@ class TestSamplePlanted:
         mean = total / n_obs
         se = np.sqrt((1 - 0.6**2) / n_obs)
         assert abs(mean - 0.6) <= 3 * se
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5])
+    def test_draw_matches_scalar_construction(self, n, gamma):
+        # Edge e agrees with pi iff the e-th uniform is below 1/2 + gamma.
+        m = edge_count(n)
+        for seed in range(3):
+            pi = random_ranking(n, np.random.default_rng(100 + seed))
+            t = sample_planted(ModelParams(n, gamma), pi, np.random.default_rng(seed))
+            twin = np.random.default_rng(seed)
+            sigma = np.array(
+                [pi.pairwise_sign(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int8
+            )
+            expected = np.where(twin.random(m) < 0.5 + gamma, sigma, -sigma)
+            assert t.upper_signs().tolist() == expected.tolist()
+
+    def test_upper_pairwise_signs_are_fresh_and_writable(self):
+        pi = Ranking([3, 1, 2])
+        first, second = pi.upper_pairwise_signs(), pi.upper_pairwise_signs()
+        assert first.dtype == np.int8 and first.flags.writeable
+        first[:] = 0
+        assert second.tolist() == pi.upper_pairwise_signs().tolist() == [-1, -1, 1]
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,19 @@ class TestWedgeStatistic:
         assert wedge_statistic(t) == 1
         assert wedge_direct(t) == 1
 
+    def test_transitive_sum_of_squares_past_int32(self):
+        # s_i = n - 1 - 2i; at n = 3000, sum s_i^2 is about 9.0e9 > 2^31.
+        n = 3000
+        t = induced_tournament(Ranking.identity(n))
+        scores = t.scores()
+        assert scores.tolist() == [n - 1 - 2 * i for i in range(n)]
+        squares = sum((n - 1 - 2 * i) ** 2 for i in range(n))
+        assert squares > 2**31
+        # A dot product keeps the scores' dtype, so int32 scores would wrap here.
+        assert int(scores @ scores) == squares
+        assert scores.dtype == np.int64
+        assert wedge_statistic(t) == (squares - n * (n - 1)) // 2
+
     def test_matches_direct_sum(self):
         gen = RngStream(5).generator()
         sizes = np.linspace(3, 40, 200).astype(int)
