@@ -27,7 +27,6 @@ from .fourier import (
     chi2_exact,
     chi2_fourier,
     kl_rademacher_bound,
-    monomial_value,
     planted_expectation,
     planted_sign_average,
     recovery_lower_bound,
@@ -38,17 +37,14 @@ from .recovery import (
     brute_force_mle,
     concavity_check,
     expected_error_bound,
-    mills_tail_bound,
     opt_bounds,
     pessimistic_error_statistic,
     ranking_by_wins,
-    rbw_alignment_lower_bound_statistic,
 )
 from .spectral import (
     build_A,
     closed_form_eigenpair,
     closed_form_eigenvalue,
-    top_eigenvalue_asymptote,
 )
 
 __version__ = "0.1.0"

@@ -36,10 +36,6 @@ class DetectionVerdict:
     threshold: float
 
     @property
-    def verdict(self) -> str:
-        return "planted" if self.statistic_value >= self.threshold else "null"
-
-    @property
     def is_planted(self) -> bool:
         return self.statistic_value >= self.threshold
 

@@ -17,14 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams, Tournament, edge_count, ranking_codes, tournament_code, upper_mask
+from .core import ModelParams, edge_count, ranking_codes, tournament_code, upper_mask
 
 __all__ = [
     "Shape",
     "chi2_exact",
     "chi2_fourier",
     "kl_rademacher_bound",
-    "monomial_value",
     "planted_expectation",
     "planted_sign_average",
     "recovery_lower_bound",
@@ -56,33 +55,6 @@ class Shape:
     def vertices(self) -> tuple:
         """Touched vertices, sorted."""
         return tuple(sorted({v for e in self.edges for v in e}))
-
-    def component_count(self) -> int:
-        """Connected components among the touched vertices (union-find)."""
-        parent = {v: v for v in self.vertices()}
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            parent[find(a)] = find(b)
-        return sum(v == root for v, root in parent.items())
-
-    def symmetric_difference(self, other: "Shape") -> "Shape":
-        return Shape(self.edges ^ other.edges)
-
-
-def monomial_value(t: Tournament, s: Shape) -> int:
-    """T^S = product of T_{i,j} over the shape's edges; empty shape gives +1."""
-    verts = s.vertices()
-    if verts and verts[-1] >= t.n:
-        raise ValueError(f"shape touches vertex {verts[-1]} but tournament has n={t.n}")
-    value = 1
-    for a, b in s.edges:
-        value *= t.sign(a, b)
-    return value
 
 
 def planted_sign_average(s: Shape) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ModelParams, Ranking, Tournament, permutation_table, ranking_codes, tournament_code, upper_mask
+    ModelParams, Ranking, Tournament, permutation_table, ranking_codes, tournament_code
 )
 
 __all__ = [
@@ -22,11 +22,9 @@ __all__ = [
     "brute_force_mle",
     "concavity_check",
     "expected_error_bound",
-    "mills_tail_bound",
     "opt_bounds",
     "pessimistic_error_statistic",
     "ranking_by_wins",
-    "rbw_alignment_lower_bound_statistic",
 ]
 
 MAX_MLE_N = 9
@@ -106,18 +104,6 @@ def expected_error_bound(params: ModelParams) -> float:
     return math.comb(n, 2) * 0.5 * math.erfc(-arg / math.sqrt(2.0))
 
 
-def mills_tail_bound(params: ModelParams) -> float:
-    """Gaussian-tail form of the error bound: C(n,2) exp(-gamma^2 n)/(gamma sqrt(n)).
-
-    The constant is fixed to 1, which dominates expected_error_bound once
-    gamma * sqrt(n) >= 1.
-    """
-    n, gamma = params.n, params.gamma
-    if gamma <= 0.0:
-        raise ValueError("mills_tail_bound requires gamma > 0")
-    return math.comb(n, 2) * math.exp(-(gamma**2) * n) / (gamma * math.sqrt(n))
-
-
 def concavity_check(a: float, b: float, grid: int) -> bool:
     """Check concavity of (1-y) Phi(-a*y - b) on [0, 1] by central differences."""
     if a < 0 or b < 0:
@@ -131,30 +117,14 @@ def concavity_check(a: float, b: float, grid: int) -> bool:
     return bool(np.all(second_diff <= 1e-9))
 
 
-def rbw_alignment_lower_bound_statistic(t: Tournament) -> int:
-    """Alignment lower bound for Ranking By Wins with worst-case ties.
-
-    Evaluated against the natural index order (hidden ranking taken to be
-    the identity); every tied pair is charged -1.
-    """
-    s = t.scores()
-    upper = upper_mask(t.n)
-    gt = (s[:, None] > s[None, :])[upper]
-    lt = (s[:, None] < s[None, :])[upper]
-    b = t.upper_signs() > 0
-    return 2 * int(b[gt].sum()) + int(lt.sum()) - 2 * int(b[lt].sum()) - int((~lt).sum())
-
-
-def opt_bounds(
-    params: ModelParams, c_low: float = 2.0, c_up: float = 2.0
-) -> tuple[float, float]:
+def opt_bounds(params: ModelParams) -> tuple[float, float]:
     """High-probability envelope for the optimum alignment objective.
 
-    (2*gamma*C(n,2) - c_low*n*log(n), 2*gamma*C(n,2) + c_up*n^(3/2)); an
-    empirical envelope with adjustable constants, not a proof artifact.
+    (2*gamma*C(n,2) - 2*n*log(n), 2*gamma*C(n,2) + 2*n^(3/2)); an empirical
+    envelope with fixed constants, not a proof artifact.
     """
     n, gamma = params.n, params.gamma
     if gamma <= 0.0:
         raise ValueError("opt_bounds requires gamma > 0")
     center = 2.0 * gamma * math.comb(n, 2)
-    return center - c_low * n * math.log(n), center + c_up * n**1.5
+    return center - 2.0 * n * math.log(n), center + 2.0 * n**1.5

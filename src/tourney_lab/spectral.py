@@ -16,7 +16,6 @@ __all__ = [
     "build_A",
     "closed_form_eigenpair",
     "closed_form_eigenvalue",
-    "top_eigenvalue_asymptote",
 ]
 
 
@@ -55,17 +54,3 @@ def closed_form_eigenpair(n: int, i: int) -> tuple[float, np.ndarray]:
     j = np.arange(1, n + 1)
     vec = np.exp(-1j * math.pi * (2 * i - 1) * j / n)
     return lam, vec / np.linalg.norm(vec)
-
-
-def top_eigenvalue_asymptote(n: int, a: int) -> float:
-    """Large-n value 2n/((2a-1)pi) of lambda_a(A), mirrored for bottom indices.
-
-    For a counted from the bottom of the spectrum (a close to n) the value
-    is the negation of the mirror index's asymptote.
-    """
-    if not 1 <= a <= n:
-        raise IndexError(f"index {a} out of range 1..{n}")
-    mirror = n - a + 1
-    if a > mirror:
-        return -2.0 * n / ((2 * mirror - 1) * math.pi)
-    return 2.0 * n / ((2 * a - 1) * math.pi)

@@ -22,7 +22,6 @@ from tourney_lab.core import (
     spearman_footrule,
     tournament_code,
 )
-from tourney_lab.recovery import rbw_alignment_lower_bound_statistic
 
 
 def cyclic3() -> Tournament:
@@ -274,19 +273,6 @@ class TestEdgeLayout:
             pairs = [pi.pairwise_sign(i, j) for i in range(n) for j in range(i + 1, n)]
             assert pi.upper_pairwise_signs().tolist() == pairs
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
-    def test_rbw_alignment_bound_matches_double_loop(self, n):
-        for _, t in self.draws(n):
-            s = [sum(t.sign(i, k) for k in range(n)) for i in range(n)]
-            expected = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if s[i] == s[j]:
-                        expected -= 1  # every tie is charged -1
-                    else:
-                        expected += t.sign(i, j) * (1 if s[i] > s[j] else -1)
-            assert rbw_alignment_lower_bound_statistic(t) == expected
-
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_upper_signs_are_read_only(self, n):
         signs = sample_null(n, RngStream(0)).upper_signs()
@@ -341,6 +327,20 @@ class TestRankingCodes:
         finally:
             tracemalloc.stop()
         assert peak < 3 * codes.nbytes
+
+    def test_caches_keep_one_size(self):
+        # Unbounded caches would keep the k = 9 table and codes (6.2 MiB) once k = 3 is built.
+        permutation_table.cache_clear()
+        ranking_codes.cache_clear()
+        tracemalloc.start()
+        try:
+            ranking_codes(9)
+            ranking_codes(3)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 2**20
+        assert permutation_table.cache_info().currsize == ranking_codes.cache_info().currsize == 1
 
 
 class TestPermutationMetrics:

@@ -176,13 +176,13 @@ class TestWedgeTest:
     def test_verdicts(self):
         params = ModelParams(3, 0.25)
         t_null = cyclic3()  # f = -3, below midpoint 0.125
-        assert wedge_test(t_null, params).verdict == "null"
+        assert not wedge_test(t_null, params).is_planted
         t_planted = induced_tournament(Ranking.identity(3))  # f = 1
-        assert wedge_test(t_planted, params).verdict == "planted"
+        assert wedge_test(t_planted, params).is_planted
 
     def test_verdict_invariant(self):
-        assert DetectionVerdict(1.0, 1.0).verdict == "planted"
-        assert DetectionVerdict(0.999, 1.0).verdict == "null"
+        assert DetectionVerdict(1.0, 1.0).is_planted
+        assert not DetectionVerdict(0.999, 1.0).is_planted
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -279,12 +279,12 @@ class TestSpectralTest:
     def test_at_twice_sqrt_n_is_null(self):
         # the threshold is strictly above 2, so a statistic of exactly 2
         # sqrt(n) yields a null verdict for any positive epsilon
-        assert DetectionVerdict(2.0, 2.05).verdict == "null"
+        assert not DetectionVerdict(2.0, 2.05).is_planted
 
     def test_small_instance_verdict(self):
         t = sample_null(2, RngStream(1))
         result = spectral_test(t, 0.1)
-        assert result.verdict == "null"
+        assert not result.is_planted
         assert result.threshold == pytest.approx(2.1)
 
     def test_epsilon_validation(self):

@@ -18,7 +18,6 @@ from tourney_lab.fourier import (
     chi2_exact,
     chi2_fourier,
     kl_rademacher_bound,
-    monomial_value,
     planted_expectation,
     planted_sign_average,
     recovery_lower_bound,
@@ -79,37 +78,6 @@ class TestShape:
     def test_vertices_and_components(self):
         s = Shape([(0, 1), (2, 3), (3, 4)])
         assert s.vertices() == (0, 1, 2, 3, 4)
-        assert s.component_count() == 2
-
-
-class TestMonomial:
-    def test_empty_shape(self):
-        t = next(all_tournaments(3))
-        assert monomial_value(t, Shape()) == 1
-
-    def test_single_edge(self):
-        gen = RngStream(1).generator()
-        from tourney_lab.core import sample_null
-
-        for _ in range(10):
-            t = sample_null(4, gen)
-            assert monomial_value(t, Shape([(0, 1)])) == t.sign(0, 1)
-
-    def test_multiplicativity(self):
-        gen = RngStream(2).generator()
-        from tourney_lab.core import sample_null
-
-        for _ in range(50):
-            t = sample_null(6, gen)
-            s1, s2 = random_shape(gen, 6), random_shape(gen, 6)
-            assert monomial_value(t, s1) * monomial_value(t, s2) == monomial_value(
-                t, s1.symmetric_difference(s2)
-            )
-
-    def test_vertex_out_of_range(self):
-        t = next(all_tournaments(3))
-        with pytest.raises(ValueError):
-            monomial_value(t, Shape([(0, 5)]))
 
 
 class TestPlantedExpectation:
@@ -192,14 +160,6 @@ class TestOrthonormality:
         expected = np.full(gram.shape, 0, dtype=np.int64)
         np.fill_diagonal(expected, 2**m)
         assert np.array_equal(gram, expected)
-
-    def test_null_mean_zero_n4(self):
-        n = 4
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1, 2 ** len(pairs)):
-            shape = Shape([pairs[b] for b in range(len(pairs)) if mask >> b & 1])
-            total = sum(monomial_value(t, shape) for t in all_tournaments(n))
-            assert total == 0
 
 
 class TestDivergences:

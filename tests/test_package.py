@@ -1,11 +1,15 @@
 """Package-wide layout rules, read off the source with ast."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tourney_lab
 
 SOURCES = sorted(Path(tourney_lab.__file__).parent.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+# The modules whose public names the package root re-exports.
+REEXPORTED = ["core", "detection", "fourier", "recovery", "spectral"]
 
 
 def private_imports(source: str, name: str = "<source>") -> list:
@@ -41,3 +45,66 @@ def test_guard_flags_private_names_only():
         "<source>:2: imports _as_generator",
         "<source>:3: imports _planted_pmf",
     ]
+
+
+def unused_imports(source: str, name: str = "<source>") -> list:
+    """Module-level imported names that the module never reads as a ``Name``."""
+    tree = ast.parse(source, filename=name)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}: never uses {bound}" for bound, line in imported if bound not in used]
+
+
+def test_no_unused_imports():
+    hits = [hit for path in MODULES for hit in unused_imports(path.read_text(), path.name)]
+    assert hits == []
+
+
+def test_guard_flags_unused_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .core import Ranking, Tournament, upper_mask as mask\n"
+        "def f(t: Tournament) -> np.ndarray:\n"
+        "    return os.path.join(t)\n"
+    )
+    assert unused_imports(source) == [
+        "<source>:4: never uses Ranking",
+        "<source>:4: never uses mask",
+    ]
+
+
+def top_level_names(source: str) -> set:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_all_names_are_defined_in_their_module():
+    for path in MODULES:
+        module = importlib.import_module(f"tourney_lab.{path.stem}")
+        missing = set(getattr(module, "__all__", ())) - top_level_names(path.read_text())
+        assert missing == set(), path.name
+
+
+def test_root_reexports_exactly_the_module_exports():
+    init = Path(tourney_lab.__file__).read_text()
+    reexports = {}
+    for node in ast.parse(init).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            reexports.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    expected = {
+        name: set(importlib.import_module(f"tourney_lab.{name}").__all__) for name in REEXPORTED
+    }
+    assert reexports == expected

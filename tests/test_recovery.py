@@ -22,11 +22,9 @@ from tourney_lab.recovery import (
     brute_force_mle,
     concavity_check,
     expected_error_bound,
-    mills_tail_bound,
     opt_bounds,
     pessimistic_error_statistic,
     ranking_by_wins,
-    rbw_alignment_lower_bound_statistic,
 )
 
 
@@ -239,30 +237,6 @@ class TestExpectedErrorBound:
             expected_error_bound(ModelParams(10, 0.3))
 
 
-class TestMillsTailBound:
-    def test_dominates_expected_error_bound(self):
-        for n in (25, 100, 900):
-            for gamma in np.linspace(1 / math.sqrt(n), 0.25, 8):
-                params = ModelParams(n, float(gamma))
-                assert expected_error_bound(params) <= mills_tail_bound(params)
-
-    def test_strong_recovery_scale(self):
-        value = mills_tail_bound(ModelParams(10_000, 0.1))
-        expected = math.comb(10_000, 2) * math.exp(-100) / 10.0
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert value < 1e-30
-
-    def test_decreasing_in_n(self):
-        gamma = 0.2
-        start = int(1 / gamma**2) + 1
-        values = [mills_tail_bound(ModelParams(n, gamma)) for n in range(start, start + 200, 40)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_gamma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            mills_tail_bound(ModelParams(10, 0.0))
-
-
 class TestConcavityCheck:
     def test_linear_cases_pass(self):
         # a = 0 makes the function linear: (1-y) * Phi(-b)
@@ -284,24 +258,6 @@ class TestConcavityCheck:
             concavity_check(-1.0, 0.0, 10)
 
 
-class TestRbwAlignmentLowerBound:
-    def test_transitive(self):
-        for n in (2, 5, 9):
-            t = induced_tournament(Ranking.identity(n))
-            assert rbw_alignment_lower_bound_statistic(t) == math.comb(n, 2)
-
-    def test_cyclic(self):
-        assert rbw_alignment_lower_bound_statistic(cyclic3()) == -3
-
-    def test_dominated_by_actual_alignment(self):
-        gen = RngStream(70).generator()
-        for _ in range(500):
-            n = int(gen.integers(3, 30))
-            gamma = float(gen.uniform(0, 0.5))
-            t = sample_planted(ModelParams(n, gamma), Ranking.identity(n), gen)
-            assert rbw_alignment_lower_bound_statistic(t) <= alignment(ranking_by_wins(t), t)
-
-
 class TestOptBounds:
     def test_order(self):
         for n in range(4, 64, 4):
@@ -317,12 +273,6 @@ class TestOptBounds:
             margins[n] = hi - 2 * gamma * math.comb(n, 2)
         ratio = margins[16] / margins[4]
         assert 7 <= ratio <= 9
-
-    def test_custom_constants(self):
-        lo_default, hi_default = opt_bounds(ModelParams(8, 0.25))
-        lo, hi = opt_bounds(ModelParams(8, 0.25), c_low=1.0, c_up=4.0)
-        assert lo > lo_default
-        assert hi > hi_default
 
     def test_gamma_guard(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from tourney_lab.spectral import (
     build_A,
     closed_form_eigenpair,
     closed_form_eigenvalue,
-    top_eigenvalue_asymptote,
 )
 
 
@@ -102,18 +101,9 @@ class TestClosedFormEigenpairs:
 
 
 class TestAsymptote:
-    def test_leading_value(self):
-        for n in (10, 1000):
-            assert top_eigenvalue_asymptote(n, 1) == pytest.approx(2 * n / math.pi, rel=1e-14)
-
     def test_large_n_accuracy(self):
         n = 10_000
         assert abs(closed_form_eigenvalue(n, 1) / n - 2 / math.pi) <= 1e-4
-
-    def test_mirror_negation(self):
-        n = 100
-        for a in (1, 2, 5):
-            assert top_eigenvalue_asymptote(n, n - a + 1) == -top_eigenvalue_asymptote(n, a)
 
     def test_tail_norm_bound(self):
         for n in (16, 64, 256, 1024):
