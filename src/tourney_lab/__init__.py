@@ -9,7 +9,9 @@ from .core import (
     induced_tournament,
     kendall_tau,
     sample_null,
+    sample_null_scores,
     sample_planted,
+    sample_planted_scores,
     sample_planted_uniform,
     spearman_footrule,
 )
@@ -17,6 +19,7 @@ from .detection import (
     DetectionVerdict,
     spectral_statistic,
     spectral_test,
+    wedge_from_scores,
     wedge_null_moments,
     wedge_planted_mean,
     wedge_statistic,

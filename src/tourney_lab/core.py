@@ -9,6 +9,12 @@ model orients every edge by a fair coin flip.
 A planted draw makes one pass over the pairs: one comparison of the hidden
 ranks, fused with the coin flips into int8 signs.  Win scores are read off
 the upper triangle alone, without building the skew-symmetric matrix.
+
+The score samplers ``sample_null_scores`` and ``sample_planted_scores`` return
+the win scores of the same draws as ``sample_null(...).scores()`` and
+``sample_planted_uniform``, bit for bit and from the same generator stream,
+without a ``Tournament``: they walk the pairs in blocks of whole rows, at most
+2^18 edges each, so memory stays a few MiB at any n.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ __all__ = [
     "induced_tournament",
     "kendall_tau",
     "sample_null",
+    "sample_null_scores",
     "sample_planted",
+    "sample_planted_scores",
     "sample_planted_uniform",
     "spearman_footrule",
 ]
@@ -52,10 +60,17 @@ def _scatter_upper(n: int, signs: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _narrow(ranks: np.ndarray) -> np.ndarray:
+    """Values in 0..n (n = ranks.size) cast to the narrowest unsigned type holding n.
+
+    A narrow type makes the n x n comparisons of ranks cheaper.
+    """
+    return ranks.astype(np.min_scalar_type(ranks.size))
+
+
 def _ranked_above(ranks: np.ndarray) -> np.ndarray:
     """Bool ranks[i] < ranks[j] for every pair i < j, in the row-major order of upper_mask."""
-    # Ranks are 1..n: the narrowest unsigned type holding n makes the n x n comparison cheaper.
-    r = ranks.astype(np.min_scalar_type(ranks.size))
+    r = _narrow(ranks)
     return (r[:, None] < r[None, :])[upper_mask(r.size)]
 
 
@@ -339,6 +354,11 @@ def sample_planted(
     return Tournament(params.n, _as_signs(agree))
 
 
+def _uniform_ranking(n: int, gen: np.random.Generator) -> Ranking:
+    """The hidden ranking every planted draw starts with: one permutation from ``gen``."""
+    return Ranking(gen.permutation(n) + 1)
+
+
 def sample_planted_uniform(
     params: ModelParams, rng: RngStream | np.random.Generator
 ) -> tuple[Ranking, Tournament]:
@@ -348,8 +368,113 @@ def sample_planted_uniform(
     a fixed ranking matches :func:`sample_planted` on the same generator.
     """
     gen = _as_generator(rng)
-    pi = Ranking(gen.permutation(params.n) + 1)
+    pi = _uniform_ranking(params.n, gen)
     return pi, sample_planted(params, pi, gen)
+
+
+# The score samplers hold one block of whole rows at a time, with at most this
+# many edges unless a single row has more.
+_BLOCK_EDGES = 1 << 18
+
+
+def _row_blocks(n: int) -> list:
+    """(a, b, e) per block: rows a..b-1 hold edges start[a]..start[b]-1, e of them.
+
+    Each block takes as many whole rows as fit in _BLOCK_EDGES, and at least one.
+    """
+    i = np.arange(n + 1, dtype=np.int64)
+    start = i * (n - 1) - i * (i - 1) // 2  # first edge of row i; start[n - 1] = start[n] = m
+    blocks, a = [], 0
+    while a < n - 1:
+        b = int(np.searchsorted(start, start[a] + _BLOCK_EDGES, side="right")) - 1
+        b = min(max(b, a + 1), n - 1)
+        blocks.append((a, b, int(start[b] - start[a])))
+        a = b
+    return blocks
+
+
+def _win_scores(n: int, blocks) -> np.ndarray:
+    """Win scores (int64) from (a, beats) blocks that cover every pair i < j once.
+
+    ``beats[k, c]`` is True when vertex a + k beats vertex a + c, and False on and
+    below the block's diagonal.  Vertex i plays n - 1 - i pairs along row i,
+    winning row_i, and i pairs along column i, winning i - col_i, so
+    s_i = 2 (row_i - col_i) - (n - 1) + 2 i.
+    """
+    count = np.min_scalar_type(n)  # a block row or column holds fewer than n flags
+    row = np.zeros(n, dtype=np.int64)
+    col = np.zeros(n, dtype=np.int64)
+    for a, beats in blocks:
+        flags = beats.view(np.uint8)
+        row[a : a + len(beats)] += flags.sum(axis=1, dtype=count)
+        col[a:] += flags.sum(axis=0, dtype=count)
+    return 2 * (row - col) - (n - 1) + 2 * np.arange(n)
+
+
+def _upper_block(n: int, a: int, b: int) -> np.ndarray:
+    """Mask of the pairs i < j in the block of rows a..b-1 and columns a..n-1.
+
+    It equals ~np.tri(b - a, n - a); the narrow comparison builds it faster.
+    """
+    vertex = np.arange(a, n, dtype=np.min_scalar_type(n))
+    return vertex[: b - a, None] < vertex[None, :]
+
+
+def _null_beats(n: int, gen: np.random.Generator):
+    """The (a, beats) blocks of sample_null(n, gen), drawn from the same stream."""
+    m = edge_count(n)
+    carry, drawn = np.empty(0, dtype=np.int8), 0
+    for a, b, e in _row_blocks(n):
+        # integers(0, 2, dtype=int8) takes four flags from each 32-bit draw and drops
+        # what a call leaves over, so each call but the last asks for a multiple of
+        # four flags, and those this block does not use carry into the next.
+        need = e - carry.size
+        size = min(-(-need // 4) * 4, m - drawn)
+        flags = np.concatenate((carry, gen.integers(0, 2, size=size, dtype=np.int8)))
+        carry, drawn = flags[e:], drawn + size
+        upper = _upper_block(n, a, b)
+        beats = np.zeros(upper.shape, dtype=bool)
+        beats[upper] = flags[:e].view(bool)
+        yield a, beats
+
+
+def _planted_beats(params: ModelParams, pi: Ranking, gen: np.random.Generator):
+    """The (a, beats) blocks of sample_planted(params, pi, gen), drawn from the same stream.
+
+    As in sample_planted, i beats j exactly when "i is ranked above j" equals "the
+    edge agrees with pi"; generator.random fills consecutive slices of one buffer
+    with the same doubles as one call.
+    """
+    n, r = params.n, _narrow(pi.ranks)
+    blocks = _row_blocks(n)
+    uniforms = np.empty(max((e for *_, e in blocks), default=0))
+    for a, b, e in blocks:
+        upper = _upper_block(n, a, b)
+        beats = np.zeros(upper.shape, dtype=bool)
+        beats[upper] = gen.random(out=uniforms[:e]) < (0.5 + params.gamma)
+        np.equal(r[a:b, None] < r[None, a:], beats, out=beats)
+        beats &= upper
+        yield a, beats
+
+
+def sample_null_scores(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """Win scores of ``sample_null(n, rng)``, from the same stream, without the tournament."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _win_scores(n, _null_beats(n, _as_generator(rng)))
+
+
+def sample_planted_scores(
+    params: ModelParams, rng: RngStream | np.random.Generator
+) -> tuple[Ranking, np.ndarray]:
+    """Hidden ranking and win scores of ``sample_planted_uniform(params, rng)``.
+
+    Same stream, same values, but no tournament is built: memory stays a few
+    MiB at any n.
+    """
+    gen = _as_generator(rng)
+    pi = _uniform_ranking(params.n, gen)
+    return pi, _win_scores(params.n, _planted_beats(params, pi, gen))
 
 
 def induced_tournament(pi: Ranking) -> Tournament:
@@ -365,10 +490,11 @@ def _check_same_size(p1: Ranking, p2: Ranking) -> None:
 def kendall_tau(p1: Ranking, p2: Ranking) -> int:
     """Number of pairs ordered oppositely by the two rankings."""
     _check_same_size(p1, p2)
-    r1 = p1.ranks
-    r2 = p2.ranks
-    discordant = (r1[:, None] < r1[None, :]) & (r2[:, None] > r2[None, :])
-    return int(discordant.sum())
+    r1 = _narrow(p1.ranks)
+    r2 = _narrow(p2.ranks)
+    discordant = r1[:, None] < r1[None, :]
+    discordant &= r2[:, None] > r2[None, :]
+    return int(np.count_nonzero(discordant))
 
 
 def spearman_footrule(p1: Ranking, p2: Ranking) -> int:

@@ -21,6 +21,7 @@ __all__ = [
     "DetectionVerdict",
     "spectral_statistic",
     "spectral_test",
+    "wedge_from_scores",
     "wedge_null_moments",
     "wedge_planted_mean",
     "wedge_statistic",
@@ -41,14 +42,19 @@ class DetectionVerdict:
 
 
 def wedge_statistic(t: Tournament) -> int:
-    """Sum of T_{i,j} T_{i,k} over wedges, via the win-score identity.
+    """Sum of T_{i,j} T_{i,k} over wedges: ``wedge_from_scores(t.scores())``."""
+    return wedge_from_scores(t.scores())
 
-    Computed in O(n^2) as (1/2) sum_i s_i^2 - n(n-1)/2; this equals the
-    direct triple sum over all paths of length two.
+
+def wedge_from_scores(s: np.ndarray) -> int:
+    """Wedge statistic of the tournament whose win scores are ``s``.
+
+    Computed in O(n) as (1/2) sum_i s_i^2 - n(n-1)/2; this equals the direct
+    triple sum of T_{i,j} T_{i,k} over all paths of length two.
     """
-    s = t.scores()
-    n = t.n
-    return (int(np.sum(s * s)) - n * (n - 1)) // 2
+    s = np.asarray(s, dtype=np.int64)
+    n = s.size
+    return (int(s @ s) - n * (n - 1)) // 2
 
 
 def wedge_null_moments(n: int) -> tuple[float, float]:

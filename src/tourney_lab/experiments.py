@@ -30,6 +30,8 @@ from .core import (
     alignment,
     kendall_tau,
     sample_null,
+    sample_null_scores,
+    sample_planted_scores,
     sample_planted_uniform,
     spearman_footrule,
 )
@@ -79,8 +81,16 @@ def _draw_tournament(n: int, gamma: float, rng: RngStream):
     return t
 
 
+def _draw_scores(n: int, gamma: float, rng: RngStream):
+    """Win scores of the _draw_tournament draw, from the same stream."""
+    if gamma == 0.0:
+        return sample_null_scores(n, rng)
+    _, scores = sample_planted_scores(ModelParams(n, gamma), rng)
+    return scores
+
+
 def _detect_wedge(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
-    f = detection.wedge_statistic(_draw_tournament(n, gamma, rng))
+    f = detection.wedge_from_scores(_draw_scores(n, gamma, rng))
     cutoff = WEDGE_NULL_SDS * math.sqrt(detection.wedge_null_moments(n)[1])
     return f, 1.0 if f >= cutoff else 0.0
 

@@ -66,10 +66,13 @@ def pessimistic_error_statistic(t: Tournament, hidden: Ranking) -> int:
     """
     if hidden.n != t.n:
         raise ValueError(f"ranking has {hidden.n} items but tournament has {t.n}")
-    s = t.scores()
-    r = hidden.ranks
-    bad = (r[:, None] < r[None, :]) & (s[:, None] <= s[None, :])
-    return int(bad.sum())
+    n = t.n
+    # Ranks are 1..n and |s_i| <= n - 1: compare both in the narrowest types holding them.
+    r = hidden.ranks.astype(np.min_scalar_type(n))
+    s = t.scores().astype(np.promote_types(np.min_scalar_type(n - 1), np.min_scalar_type(1 - n)))
+    bad = r[:, None] < r[None, :]
+    bad &= s[:, None] <= s[None, :]
+    return int(np.count_nonzero(bad))
 
 
 def brute_force_mle(t: Tournament) -> MleResult:

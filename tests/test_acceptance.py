@@ -41,7 +41,6 @@ from tourney_lab.fourier import (
 from tourney_lab.recovery import (
     brute_force_mle,
     concavity_check,
-    expected_error_bound,
     opt_bounds,
     pessimistic_error_statistic,
     ranking_by_wins,

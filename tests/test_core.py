@@ -17,7 +17,9 @@ from tourney_lab.core import (
     permutation_table,
     ranking_codes,
     sample_null,
+    sample_null_scores,
     sample_planted,
+    sample_planted_scores,
     sample_planted_uniform,
     spearman_footrule,
     tournament_code,
@@ -236,6 +238,61 @@ class TestSamplePlantedUniform:
         assert p1 == p2 and t1 == t2
 
 
+# The score samplers walk blocks of whole rows with at most 2^18 edges: 724 is
+# the last size with a single block.  At n = 725 the first block holds
+# 262 125 edges, not a multiple of 4, so the null flags carry across blocks.
+BLOCK_SIZES = [2, 3, 724, 725, 726, 2000]
+
+
+class TestScoreSamplers:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_null_scores_match_tournament_draw(self, n):
+        for stream in range(2):
+            gen, twin = RngStream(41, stream).generator(), RngStream(41, stream).generator()
+            scores = sample_null_scores(n, gen)
+            expected = sample_null(n, twin).scores()
+            assert scores.dtype == expected.dtype
+            assert np.array_equal(scores, expected)
+            # Both took the same stretch of the stream.
+            assert gen.integers(2**32) == twin.integers(2**32)
+        expected = sample_null(n, RngStream(7, 3)).scores()
+        assert np.array_equal(sample_null_scores(n, RngStream(7, 3)), expected)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.5])
+    def test_planted_scores_match_tournament_draw(self, n, gamma):
+        params = ModelParams(n, gamma)
+        gen, twin = RngStream(43, n).generator(), RngStream(43, n).generator()
+        pi, scores = sample_planted_scores(params, gen)
+        hidden, t = sample_planted_uniform(params, twin)
+        assert pi == hidden
+        assert scores.dtype == t.scores().dtype
+        assert np.array_equal(scores, t.scores())
+        assert gen.random() == twin.random()
+        pi, scores = sample_planted_scores(params, RngStream(8, 1))
+        hidden, t = sample_planted_uniform(params, RngStream(8, 1))
+        assert pi == hidden and np.array_equal(scores, t.scores())
+
+    def test_single_vertex(self):
+        assert sample_null_scores(1, RngStream(0)).tolist() == [0]
+        pi, scores = sample_planted_scores(ModelParams(1, 0.3), RngStream(0))
+        assert pi.ranks.tolist() == [1] and scores.tolist() == [0]
+        with pytest.raises(ValueError):
+            sample_null_scores(0, RngStream(0))
+
+    def test_planted_draw_at_ten_thousand_stays_small(self):
+        # The tournament would hold 50 million edges: 400 MB of uniforms alone.
+        tracemalloc.start()
+        try:
+            pi, scores = sample_planted_scores(ModelParams(10_000, 0.01), RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert scores.sum() == 0 and np.all((scores - 9_999) % 2 == 0)
+        assert pi.n == 10_000
+
+
 class TestInducedTournament:
     def test_identity(self):
         t = induced_tournament(Ranking.identity(3))
@@ -362,6 +419,19 @@ class TestPermutationMetrics:
         for _ in range(20):
             p1, p2 = random_ranking(6, gen), random_ranking(6, gen)
             assert kendall_tau(p1, p2) == kendall_tau(p2, p1)
+
+    @pytest.mark.parametrize("n", [2, 3, 129, 130, 256, 257])
+    def test_kendall_matches_pair_loop(self, n):
+        # 129 and 257 are the first sizes whose ranks need a wider unsigned type.
+        gen = RngStream(12, n).generator()
+        pairs = [(random_ranking(n, gen), random_ranking(n, gen)) for _ in range(3)]
+        pairs += [(Ranking.identity(n), Ranking.reversal(n)), (Ranking.reversal(n),) * 2]
+        for p1, p2 in pairs:
+            r1, r2 = p1.ranks.tolist(), p2.ranks.tolist()
+            expected = sum(
+                (r1[i] < r1[j]) != (r2[i] < r2[j]) for i in range(n) for j in range(i + 1, n)
+            )
+            assert kendall_tau(p1, p2) == expected
 
     def test_footrule_values(self):
         assert spearman_footrule(Ranking.identity(3), Ranking.identity(3)) == 0

@@ -18,6 +18,7 @@ from tourney_lab.detection import (
     DetectionVerdict,
     spectral_statistic,
     spectral_test,
+    wedge_from_scores,
     wedge_null_moments,
     wedge_planted_mean,
     wedge_statistic,
@@ -77,6 +78,7 @@ class TestWedgeStatistic:
         assert int(scores @ scores) == squares
         assert scores.dtype == np.int64
         assert wedge_statistic(t) == (squares - n * (n - 1)) // 2
+        assert wedge_from_scores(scores.astype(np.int32)) == wedge_statistic(t)
 
     def test_matches_direct_sum(self):
         gen = RngStream(5).generator()

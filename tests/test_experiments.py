@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,8 @@ import pytest
 
 from tourney_lab import experiments
 from tourney_lab.cli import main
+from tourney_lab.core import ModelParams, RngStream, sample_null, sample_planted_uniform
+from tourney_lab.detection import wedge_null_moments, wedge_statistic
 from tourney_lab.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -247,6 +250,24 @@ class TestRunSweep:
         verdicts = [r.value for r in result.rows if r.statistic == "verdict"]
         assert len(verdicts) == 100
         assert np.mean(verdicts) <= 0.10
+
+    def test_detect_wedge_rows_match_tournament_draws(self, tmp_path):
+        # n = 725 takes two score blocks, the first ending off a multiple of 4 edges.
+        n, gammas, trials = 725, [0.0, 0.05], 2
+        cfg = make_config(tmp_path, n_values=[n], gamma_spec=gammas, trials=trials)
+        run_sweep(cfg)
+        cutoff = 3.0 * math.sqrt(wedge_null_moments(n)[1])
+        lines = [",".join(CSV_HEADER)]
+        for stream, (gamma, trial) in enumerate(itertools.product(gammas, range(trials))):
+            rng = RngStream(cfg.seed, stream)
+            if gamma == 0.0:
+                t = sample_null(n, rng)
+            else:
+                _, t = sample_planted_uniform(ModelParams(n, gamma), rng)
+            wedge = wedge_statistic(t)
+            for statistic, value in (("verdict", float(wedge >= cutoff)), ("wedge", wedge)):
+                lines.append(f"detect-wedge,{n},{gamma:.17g},{trial},{statistic},{value:.17g}")
+        assert Path(cfg.output_path).read_text() == "\n".join(lines) + "\n"
 
     def test_recover_statistics(self, tmp_path):
         cfg = make_config(

@@ -8,6 +8,7 @@ import tourney_lab
 
 SOURCES = sorted(Path(tourney_lab.__file__).parent.glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # The modules whose public names the package root re-exports.
 REEXPORTED = ["core", "detection", "fourier", "recovery", "spectral"]
 
@@ -61,7 +62,9 @@ def unused_imports(source: str, name: str = "<source>") -> list:
 
 
 def test_no_unused_imports():
-    hits = [hit for path in MODULES for hit in unused_imports(path.read_text(), path.name)]
+    assert TESTS
+    paths = MODULES + TESTS
+    hits = [hit for path in paths for hit in unused_imports(path.read_text(), path.name)]
     assert hits == []
 
 

@@ -17,6 +17,7 @@ from tourney_lab.core import (
     sample_null,
     sample_planted,
     sample_planted_uniform,
+    upper_mask,
 )
 from tourney_lab.recovery import (
     brute_force_mle,
@@ -127,6 +128,29 @@ class TestPessimisticError:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             pessimistic_error_statistic(cyclic3(), Ranking.identity(4))
+
+    @pytest.mark.parametrize("n", [2, 3, 129, 130, 256, 257])
+    def test_matches_pair_loop(self, n):
+        # The transitive tournament's scores reach +-(n - 1): +128 at n = 129,
+        # which an int8 comparison would wrap.  The rotational one ties scores.
+        gen = RngStream(67, n).generator()
+        pi = Ranking(gen.permutation(n) + 1)
+        gap = (np.arange(n) - np.arange(n)[:, None]) % n
+        rotational = Tournament.from_upper_signs(n, np.where(gap <= n // 2, 1, -1)[upper_mask(n)])
+        tournaments = [induced_tournament(pi), sample_null(n, gen), rotational]
+        for t in tournaments:
+            signs = t.upper_signs().tolist()
+            scores = [0] * n
+            for (i, j), sign in zip(itertools.combinations(range(n), 2), signs):
+                scores[i] += sign
+                scores[j] -= sign
+            for hidden in (pi, pi.reversed(), Ranking(gen.permutation(n) + 1)):
+                r = hidden.ranks.tolist()
+                expected = sum(
+                    r[i] < r[j] and scores[i] <= scores[j] for i in range(n) for j in range(n)
+                )
+                assert pessimistic_error_statistic(t, hidden) == expected
+        assert pessimistic_error_statistic(induced_tournament(pi), pi.reversed()) == math.comb(n, 2)
 
     def test_concentration_scale(self):
         # sd over many trials stays far below 10 n^(3/2)
