@@ -35,6 +35,31 @@ def random_ranking(n, gen) -> Ranking:
     return Ranking(gen.permutation(n) + 1)
 
 
+# The score samplers walk blocks of whole rows with at most 2^18 edges: 724 is
+# the last size with a single block.  At n = 725 the first block holds
+# 262 125 edges, not a multiple of 4, so the null flags carry across blocks.
+BLOCK_SIZES = [2, 3, 724, 725, 726, 2000]
+
+
+# Reference draws: each reads a whole draw from the generator in one call and
+# builds it with numpy alone, sharing no code with the samplers.
+def one_call_null_signs(n, twin) -> np.ndarray:
+    return 2 * twin.integers(0, 2, edge_count(n), dtype=np.int8) - 1
+
+
+def one_call_planted_signs(ranks, gamma, twin) -> np.ndarray:
+    """Edge e agrees with the ranking (sigma) iff the e-th uniform is below 1/2 + gamma."""
+    i, j = np.triu_indices(ranks.size, 1)
+    sigma = np.where(ranks[i] < ranks[j], 1, -1).astype(np.int8)
+    return np.where(twin.random(i.size) < 0.5 + gamma, sigma, -sigma)
+
+
+def pair_sum_scores(n, signs) -> np.ndarray:
+    """Win scores of upper-triangle signs: +sign to the row vertex, -sign to the column vertex."""
+    i, j = np.triu_indices(n, 1)
+    return (np.bincount(i, signs, n) - np.bincount(j, signs, n)).astype(np.int64)
+
+
 class TestTournament:
     def test_sign_accessor_skew_symmetry(self):
         t = cyclic3()
@@ -136,6 +161,13 @@ class TestSampleNull:
         total = sum(sample_null(2, gen).sign(0, 1) for _ in range(100_000))
         assert abs(total / 100_000) < 0.02
 
+    @pytest.mark.parametrize("n", [1] + BLOCK_SIZES)
+    def test_draw_is_one_integers_call(self, n):
+        gen, twin = RngStream(47, n).generator(), RngStream(47, n).generator()
+        t = sample_null(n, gen)
+        assert np.array_equal(t.upper_signs(), one_call_null_signs(n, twin))
+        assert gen.integers(2**32) == twin.integers(2**32)
+
     def test_determinism(self):
         a = sample_null(20, RngStream(99, 5))
         b = sample_null(20, RngStream(99, 5))
@@ -176,20 +208,16 @@ class TestSamplePlanted:
         se = np.sqrt((1 - 0.6**2) / n_obs)
         assert abs(mean - 0.6) <= 3 * se
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30] + BLOCK_SIZES[2:])
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5])
     def test_draw_matches_scalar_construction(self, n, gamma):
-        # Edge e agrees with pi iff the e-th uniform is below 1/2 + gamma.
-        m = edge_count(n)
         for seed in range(3):
             pi = random_ranking(n, np.random.default_rng(100 + seed))
-            t = sample_planted(ModelParams(n, gamma), pi, np.random.default_rng(seed))
-            twin = np.random.default_rng(seed)
-            sigma = np.array(
-                [pi.pairwise_sign(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int8
-            )
-            expected = np.where(twin.random(m) < 0.5 + gamma, sigma, -sigma)
-            assert t.upper_signs().tolist() == expected.tolist()
+            gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            t = sample_planted(ModelParams(n, gamma), pi, gen)
+            expected = one_call_planted_signs(pi.ranks, gamma, twin)
+            assert np.array_equal(t.upper_signs(), expected)
+            assert gen.random() == twin.random()
 
     def test_upper_pairwise_signs_are_fresh_and_writable(self):
         pi = Ranking([3, 1, 2])
@@ -238,12 +266,6 @@ class TestSamplePlantedUniform:
         assert p1 == p2 and t1 == t2
 
 
-# The score samplers walk blocks of whole rows with at most 2^18 edges: 724 is
-# the last size with a single block.  At n = 725 the first block holds
-# 262 125 edges, not a multiple of 4, so the null flags carry across blocks.
-BLOCK_SIZES = [2, 3, 724, 725, 726, 2000]
-
-
 class TestScoreSamplers:
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_null_scores_match_tournament_draw(self, n):
@@ -272,6 +294,24 @@ class TestScoreSamplers:
         pi, scores = sample_planted_scores(params, RngStream(8, 1))
         hidden, t = sample_planted_uniform(params, RngStream(8, 1))
         assert pi == hidden and np.array_equal(scores, t.scores())
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_null_scores_match_one_call_reference(self, n):
+        gen, twin = RngStream(53, n).generator(), RngStream(53, n).generator()
+        scores = sample_null_scores(n, gen)
+        assert np.array_equal(scores, pair_sum_scores(n, one_call_null_signs(n, twin)))
+        assert gen.integers(2**32) == twin.integers(2**32)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.5])
+    def test_planted_scores_match_one_call_reference(self, n, gamma):
+        gen, twin = RngStream(59, n).generator(), RngStream(59, n).generator()
+        pi, scores = sample_planted_scores(ModelParams(n, gamma), gen)
+        ranks = twin.permutation(n) + 1
+        assert np.array_equal(pi.ranks, ranks)
+        signs = one_call_planted_signs(ranks, gamma, twin)
+        assert np.array_equal(scores, pair_sum_scores(n, signs))
+        assert gen.random() == twin.random()
 
     def test_single_vertex(self):
         assert sample_null_scores(1, RngStream(0)).tolist() == [0]
