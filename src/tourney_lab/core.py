@@ -6,15 +6,16 @@ points from ``i`` to ``j`` (``i`` beats ``j``).  The planted model biases
 each edge towards the orientation implied by a hidden ranking; the null
 model orients every edge by a fair coin flip.
 
-A planted draw makes one pass over the pairs: one comparison of the hidden
-ranks, fused with the coin flips into int8 signs.  Win scores are read off
-the upper triangle alone, without building the skew-symmetric matrix.
-
-The score samplers ``sample_null_scores`` and ``sample_planted_scores`` return
-the win scores of the same draws as ``sample_null(...).scores()`` and
-``sample_planted_uniform``, bit for bit and from the same generator stream,
-without a ``Tournament``: they walk the pairs in blocks of whole rows, at most
-2^18 edges each, so memory stays a few MiB at any n.
+Each model reads its coin flips from the generator in one private walker
+(``_null_flags``, ``_planted_flags``) that takes a plan of blocks of whole
+rows and yields each block's flags in edge order.  The ``Tournament``
+samplers read a draw as one block.  The score samplers ``sample_null_scores``
+and ``sample_planted_scores`` read the same draws in blocks of at most 2^18
+edges, so their scores equal ``sample_null(...).scores()`` and those of
+``sample_planted_uniform``, bit for bit, while memory stays a few MiB at any
+n.  One reducer, ``_win_scores``, turns the blocks into win scores, for the
+samplers and for ``Tournament.scores`` alike, without the skew-symmetric
+matrix.
 """
 
 from __future__ import annotations
@@ -48,16 +49,20 @@ def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def upper_mask(n: int) -> np.ndarray:
-    """n x n mask of the pairs i < j; its row-major order is the edge order."""
-    return ~np.tri(n, dtype=bool)
+def _row_start(n, i):
+    """Index of the first edge of row i, (i, i + 1), in the edge order; elementwise on arrays."""
+    return i * (2 * n - i - 1) // 2
 
 
-def _scatter_upper(n: int, signs: np.ndarray) -> np.ndarray:
-    """n x n int8 matrix holding ``signs`` above the diagonal and zeros elsewhere."""
-    mat = np.zeros((n, n), dtype=np.int8)
-    mat[upper_mask(n)] = signs
-    return mat
+def upper_mask(n: int, rows: int | None = None) -> np.ndarray:
+    """Mask of the pairs i < j in the first ``rows`` rows (all n by default) of an n x n array.
+
+    Its row-major order is the edge order.  The pairs of rows a..b-1 and columns
+    a..n-1 are upper_mask(n - a, b - a).  The narrow comparison equals ~np.tri and
+    builds it faster.
+    """
+    vertex = np.arange(n, dtype=np.min_scalar_type(n))
+    return vertex[:rows, None] < vertex[None, :]
 
 
 def _narrow(ranks: np.ndarray) -> np.ndarray:
@@ -66,12 +71,6 @@ def _narrow(ranks: np.ndarray) -> np.ndarray:
     A narrow type makes the n x n comparisons of ranks cheaper.
     """
     return ranks.astype(np.min_scalar_type(ranks.size))
-
-
-def _ranked_above(ranks: np.ndarray) -> np.ndarray:
-    """Bool ranks[i] < ranks[j] for every pair i < j, in the row-major order of upper_mask."""
-    r = _narrow(ranks)
-    return (r[:, None] < r[None, :])[upper_mask(r.size)]
 
 
 def _as_signs(flags: np.ndarray) -> np.ndarray:
@@ -178,7 +177,7 @@ class Tournament:
     row-major order of ``upper_mask(n)``.
     """
 
-    __slots__ = ("_n", "_signs")
+    __slots__ = ("_n", "_signs", "_scores")
 
     def __init__(self, n: int, signs: np.ndarray):
         """Store a copy of ``signs``, which must be +-1; from_upper_signs checks them."""
@@ -191,6 +190,7 @@ class Tournament:
         signs.setflags(write=False)
         self._n = n
         self._signs = signs
+        self._scores = None
 
     @classmethod
     def from_upper_signs(cls, n: int, signs: np.ndarray) -> "Tournament":
@@ -223,23 +223,20 @@ class Tournament:
         if i > j:
             i, j = j, i
             flip = -1
-        return flip * int(self._signs[i * (2 * n - i - 1) // 2 + (j - i - 1)])
+        return flip * int(self._signs[_row_start(n, i) + j - i - 1])
 
     def to_matrix(self) -> np.ndarray:
         """Full n x n skew-symmetric sign matrix (int8)."""
-        mat = _scatter_upper(self._n, self._signs)
+        mat = np.zeros((self._n, self._n), dtype=np.int8)
+        mat[upper_mask(self._n)] = self._signs
         return mat - mat.T
 
     def scores(self) -> np.ndarray:
-        """Win scores s_i = sum_k T_{i,k} (int64), without the skew matrix.
-
-        s_i is row i minus column i of the upper triangle.  |s_i| <= n - 1, so
-        the sums run in int32; they are returned as int64 because callers
-        square them.
-        """
-        upper = _scatter_upper(self._n, self._signs)
-        wins = upper.sum(axis=1, dtype=np.int32) - upper.sum(axis=0, dtype=np.int32)
-        return wins.astype(np.int64)
+        """Win scores s_i = sum_k T_{i,k}: a read-only int64 array, computed on the first call."""
+        if self._scores is None:
+            self._scores = _win_scores(self._n, _one_block(self._n), [self._signs > 0])
+            self._scores.setflags(write=False)
+        return self._scores
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tournament):
@@ -310,7 +307,8 @@ class Ranking:
 
     def upper_pairwise_signs(self) -> np.ndarray:
         """pairwise_sign(i, j) for i < j in lexicographic order (a fresh int8 array)."""
-        return _as_signs(_ranked_above(self._ranks))
+        r = _narrow(self._ranks)
+        return _as_signs((r[:, None] < r[None, :])[upper_mask(r.size)])
 
     def reversed(self) -> "Ranking":
         return Ranking(self.n + 1 - self._ranks)
@@ -327,13 +325,87 @@ class Ranking:
         return f"Ranking({self._ranks.tolist()})"
 
 
+# The score samplers read a draw in blocks of whole rows, with at most this many
+# edges unless a single row has more.
+_BLOCK_EDGES = 1 << 18
+
+
+def _row_blocks(n: int) -> list:
+    """Plan of (a, b, e) per block: rows a..b-1, columns a..n-1, holding e edges.
+
+    Each block takes as many whole rows as fit in _BLOCK_EDGES, and at least one.
+    """
+    start = _row_start(n, np.arange(n + 1, dtype=np.int64))  # start[n - 1] = start[n] = m
+    blocks, a = [], 0
+    while a < n - 1:
+        b = int(np.searchsorted(start, start[a] + _BLOCK_EDGES, side="right")) - 1
+        b = min(max(b, a + 1), n - 1)
+        blocks.append((a, b, int(start[b] - start[a])))
+        a = b
+    return blocks
+
+
+def _one_block(n: int) -> list:
+    """The plan that reads a whole draw at once: every row in one block."""
+    return [(0, n, edge_count(n))]
+
+
+def _null_flags(plan: list, gen: np.random.Generator):
+    """Fair coin flags "i beats j" (bool), one array per block of ``plan``, in edge order.
+
+    integers(0, 2, dtype=int8) takes four flags from each 32-bit draw and drops
+    what a call leaves over, so each call but the last asks for a multiple of
+    four flags, and those a block does not use carry into the next.
+    """
+    carry, left = np.empty(0, dtype=bool), sum(e for *_, e in plan)
+    for *_, e in plan:
+        size = min(-(-(e - carry.size) // 4) * 4, left)
+        drawn = gen.integers(0, 2, size=size, dtype=np.int8).view(bool)
+        flags = np.concatenate((carry, drawn)) if carry.size else drawn
+        carry, left = flags[e:], left - size
+        yield flags[:e]
+
+
+def _planted_flags(plan: list, gamma: float, gen: np.random.Generator):
+    """Bool flags "the edge agrees with the hidden ranking" (probability 1/2 + gamma).
+
+    One array per block of ``plan``, in edge order; generator.random fills
+    consecutive slices of one buffer with the same doubles as one call.
+    """
+    uniforms = np.empty(max((e for *_, e in plan), default=0))
+    for *_, e in plan:
+        yield gen.random(out=uniforms[:e]) < (0.5 + gamma)
+
+
+def _win_scores(n: int, plan: list, flags, ranks: np.ndarray | None = None) -> np.ndarray:
+    """Win scores (int64) from the flags of each block of a plan covering every pair once.
+
+    A flag says that i beats j or, given ``ranks``, that the edge agrees with
+    them: i beats j exactly when "i is ranked above j" equals the flag.  Vertex i
+    plays n - 1 - i pairs along row i, winning row_i, and i pairs along column i,
+    winning i - col_i, so s_i = 2 (row_i - col_i + i) - (n - 1).
+    """
+    count = np.min_scalar_type(n)  # a block row or column holds fewer than n flags
+    row_minus_col = np.zeros(n, dtype=np.int64)
+    for (a, b, _), block_flags in zip(plan, flags):
+        upper = upper_mask(n - a, b - a)
+        beats = np.zeros(upper.shape, dtype=bool)
+        beats[upper] = block_flags
+        if ranks is not None:
+            np.equal(ranks[a:b, None] < ranks[None, a:], beats, out=beats)
+            beats &= upper
+        beats = beats.view(np.uint8)
+        row_minus_col[a:b] += beats.sum(axis=1, dtype=count)
+        row_minus_col[a:] -= beats.sum(axis=0, dtype=count)
+    return 2 * (row_minus_col + np.arange(n)) - (n - 1)
+
+
 def sample_null(n: int, rng: RngStream | np.random.Generator) -> Tournament:
     """Uniformly random tournament: each edge orientation a fair coin flip."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    gen = _as_generator(rng)
-    m = edge_count(n)
-    return Tournament(n, 2 * gen.integers(0, 2, size=m, dtype=np.int8) - 1)
+    (flags,) = _null_flags(_one_block(n), _as_generator(rng))
+    return Tournament(n, _as_signs(flags))
 
 
 def sample_planted(
@@ -347,10 +419,9 @@ def sample_planted(
     """
     if pi.n != params.n:
         raise ValueError(f"ranking has {pi.n} items but params.n = {params.n}")
-    gen = _as_generator(rng)
-    m = edge_count(params.n)
-    agree = gen.random(m) < (0.5 + params.gamma)
-    np.equal(_ranked_above(pi.ranks), agree, out=agree)
+    (agree,) = _planted_flags(_one_block(params.n), params.gamma, _as_generator(rng))
+    r = _narrow(pi.ranks)
+    np.equal((r[:, None] < r[None, :])[upper_mask(r.size)], agree, out=agree)
     return Tournament(params.n, _as_signs(agree))
 
 
@@ -372,96 +443,12 @@ def sample_planted_uniform(
     return pi, sample_planted(params, pi, gen)
 
 
-# The score samplers hold one block of whole rows at a time, with at most this
-# many edges unless a single row has more.
-_BLOCK_EDGES = 1 << 18
-
-
-def _row_blocks(n: int) -> list:
-    """(a, b, e) per block: rows a..b-1 hold edges start[a]..start[b]-1, e of them.
-
-    Each block takes as many whole rows as fit in _BLOCK_EDGES, and at least one.
-    """
-    i = np.arange(n + 1, dtype=np.int64)
-    start = i * (n - 1) - i * (i - 1) // 2  # first edge of row i; start[n - 1] = start[n] = m
-    blocks, a = [], 0
-    while a < n - 1:
-        b = int(np.searchsorted(start, start[a] + _BLOCK_EDGES, side="right")) - 1
-        b = min(max(b, a + 1), n - 1)
-        blocks.append((a, b, int(start[b] - start[a])))
-        a = b
-    return blocks
-
-
-def _win_scores(n: int, blocks) -> np.ndarray:
-    """Win scores (int64) from (a, beats) blocks that cover every pair i < j once.
-
-    ``beats[k, c]`` is True when vertex a + k beats vertex a + c, and False on and
-    below the block's diagonal.  Vertex i plays n - 1 - i pairs along row i,
-    winning row_i, and i pairs along column i, winning i - col_i, so
-    s_i = 2 (row_i - col_i) - (n - 1) + 2 i.
-    """
-    count = np.min_scalar_type(n)  # a block row or column holds fewer than n flags
-    row = np.zeros(n, dtype=np.int64)
-    col = np.zeros(n, dtype=np.int64)
-    for a, beats in blocks:
-        flags = beats.view(np.uint8)
-        row[a : a + len(beats)] += flags.sum(axis=1, dtype=count)
-        col[a:] += flags.sum(axis=0, dtype=count)
-    return 2 * (row - col) - (n - 1) + 2 * np.arange(n)
-
-
-def _upper_block(n: int, a: int, b: int) -> np.ndarray:
-    """Mask of the pairs i < j in the block of rows a..b-1 and columns a..n-1.
-
-    It equals ~np.tri(b - a, n - a); the narrow comparison builds it faster.
-    """
-    vertex = np.arange(a, n, dtype=np.min_scalar_type(n))
-    return vertex[: b - a, None] < vertex[None, :]
-
-
-def _null_beats(n: int, gen: np.random.Generator):
-    """The (a, beats) blocks of sample_null(n, gen), drawn from the same stream."""
-    m = edge_count(n)
-    carry, drawn = np.empty(0, dtype=np.int8), 0
-    for a, b, e in _row_blocks(n):
-        # integers(0, 2, dtype=int8) takes four flags from each 32-bit draw and drops
-        # what a call leaves over, so each call but the last asks for a multiple of
-        # four flags, and those this block does not use carry into the next.
-        need = e - carry.size
-        size = min(-(-need // 4) * 4, m - drawn)
-        flags = np.concatenate((carry, gen.integers(0, 2, size=size, dtype=np.int8)))
-        carry, drawn = flags[e:], drawn + size
-        upper = _upper_block(n, a, b)
-        beats = np.zeros(upper.shape, dtype=bool)
-        beats[upper] = flags[:e].view(bool)
-        yield a, beats
-
-
-def _planted_beats(params: ModelParams, pi: Ranking, gen: np.random.Generator):
-    """The (a, beats) blocks of sample_planted(params, pi, gen), drawn from the same stream.
-
-    As in sample_planted, i beats j exactly when "i is ranked above j" equals "the
-    edge agrees with pi"; generator.random fills consecutive slices of one buffer
-    with the same doubles as one call.
-    """
-    n, r = params.n, _narrow(pi.ranks)
-    blocks = _row_blocks(n)
-    uniforms = np.empty(max((e for *_, e in blocks), default=0))
-    for a, b, e in blocks:
-        upper = _upper_block(n, a, b)
-        beats = np.zeros(upper.shape, dtype=bool)
-        beats[upper] = gen.random(out=uniforms[:e]) < (0.5 + params.gamma)
-        np.equal(r[a:b, None] < r[None, a:], beats, out=beats)
-        beats &= upper
-        yield a, beats
-
-
 def sample_null_scores(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Win scores of ``sample_null(n, rng)``, from the same stream, without the tournament."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _win_scores(n, _null_beats(n, _as_generator(rng)))
+    plan = _row_blocks(n)
+    return _win_scores(n, plan, _null_flags(plan, _as_generator(rng)))
 
 
 def sample_planted_scores(
@@ -474,7 +461,9 @@ def sample_planted_scores(
     """
     gen = _as_generator(rng)
     pi = _uniform_ranking(params.n, gen)
-    return pi, _win_scores(params.n, _planted_beats(params, pi, gen))
+    plan = _row_blocks(params.n)
+    flags = _planted_flags(plan, params.gamma, gen)
+    return pi, _win_scores(params.n, plan, flags, _narrow(pi.ranks))
 
 
 def induced_tournament(pi: Ranking) -> Tournament:

@@ -371,6 +371,15 @@ class TestEdgeLayout:
             assert pi.upper_pairwise_signs().tolist() == pairs
 
     @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_scores_are_kept_read_only(self, n):
+        t = sample_null(n, RngStream(0))
+        first = t.scores()
+        assert first.dtype == np.int64 and np.array_equal(t.scores(), first)
+        with pytest.raises(ValueError):
+            first[:] = 0
+        assert np.array_equal(t.scores(), pair_sum_scores(n, t.upper_signs()))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
     def test_upper_signs_are_read_only(self, n):
         signs = sample_null(n, RngStream(0)).upper_signs()
         with pytest.raises(ValueError):

@@ -83,6 +83,46 @@ def test_guard_flags_unused_imports_only():
     ]
 
 
+# The Generator methods that read a draw's edges.  core calls each from one
+# function, its model's walker, so the Tournament and score samplers read the
+# same stream by construction.
+DRAW_METHODS = ("integers", "random")
+
+
+def draw_callers(source: str) -> dict:
+    """For each DRAW_METHODS name, the innermost functions that call ``x.<name>(...)``."""
+    callers = {name: set() for name in DRAW_METHODS}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in callers:
+            callers[node.func.attr].add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_core_reads_each_draw_method_from_one_function():
+    core = Path(tourney_lab.__file__).parent / "core.py"
+    callers = draw_callers(core.read_text())
+    assert {name: len(owners) for name, owners in callers.items()} == {"integers": 1, "random": 1}
+
+
+def test_guard_flags_every_caller_of_a_draw_method():
+    source = (
+        "import numpy as np\n"
+        "def one(gen):\n"
+        "    return gen.integers(0, 2, size=3), np.random.default_rng(0).permutation(3)\n"
+        "class Sampler:\n"
+        "    def two(self, gen):\n"
+        "        return gen.integers(0, 2), gen.random(4)\n"
+    )
+    assert draw_callers(source) == {"integers": {"one", "two"}, "random": {"two"}}
+
+
 def top_level_names(source: str) -> set:
     """Names a module binds at top level by def, class or assignment."""
     names = set()
