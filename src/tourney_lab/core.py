@@ -4,11 +4,11 @@ A tournament on ``n`` vertices is an orientation of the complete graph,
 stored as one sign per unordered pair: ``sign(i, j) = +1`` means the edge
 points from ``i`` to ``j`` (``i`` beats ``j``).  The planted model biases
 each edge towards the orientation implied by a hidden ranking; the null
-model orients every edge by a fair coin flip.
+model is the planted one at ``gamma = 0``: every edge a fair coin flip.
 
-Each model reads its coin flips from the generator in one private walker
-(``_null_flags``, ``_planted_flags``) that takes a plan of blocks of whole
-rows and yields each block's flags in edge order.  The ``Tournament``
+Both models read their coin flips from the generator in one private walker,
+``_coin_flags``, that takes a plan of blocks of whole rows and yields each
+block's flags in edge order.  The ``Tournament``
 samplers read a draw as one block.  The score samplers ``sample_null_scores``
 and ``sample_planted_scores`` read the same draws in blocks of at most 2^18
 edges, so their scores equal ``sample_null(...).scores()`` and those of
@@ -21,6 +21,7 @@ matrix.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,9 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # n(n - 1)/2 cannot overflow an int
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0.0 <= self.gamma <= 0.5:
@@ -350,27 +354,13 @@ def _one_block(n: int) -> list:
     return [(0, n, edge_count(n))]
 
 
-def _null_flags(plan: list, gen: np.random.Generator):
-    """Fair coin flags "i beats j" (bool), one array per block of ``plan``, in edge order.
+def _coin_flags(plan: list, gamma: float, gen: np.random.Generator):
+    """Bool coin flags, each true with probability 1/2 + gamma: one array per block of ``plan``.
 
-    integers(0, 2, dtype=int8) takes four flags from each 32-bit draw and drops
-    what a call leaves over, so each call but the last asks for a multiple of
-    four flags, and those a block does not use carry into the next.
-    """
-    carry, left = np.empty(0, dtype=bool), sum(e for *_, e in plan)
-    for *_, e in plan:
-        size = min(-(-(e - carry.size) // 4) * 4, left)
-        drawn = gen.integers(0, 2, size=size, dtype=np.int8).view(bool)
-        flags = np.concatenate((carry, drawn)) if carry.size else drawn
-        carry, left = flags[e:], left - size
-        yield flags[:e]
-
-
-def _planted_flags(plan: list, gamma: float, gen: np.random.Generator):
-    """Bool flags "the edge agrees with the hidden ranking" (probability 1/2 + gamma).
-
-    One array per block of ``plan``, in edge order; generator.random fills
-    consecutive slices of one buffer with the same doubles as one call.
+    A flag says the edge agrees with the hidden ranking or, in the null model
+    (gamma = 0, no ranking), that i beats j.  The flags come in edge order;
+    generator.random fills consecutive slices of one buffer with the same
+    doubles as one call.
     """
     uniforms = np.empty(max((e for *_, e in plan), default=0))
     for *_, e in plan:
@@ -401,10 +391,9 @@ def _win_scores(n: int, plan: list, flags, ranks: np.ndarray | None = None) -> n
 
 
 def sample_null(n: int, rng: RngStream | np.random.Generator) -> Tournament:
-    """Uniformly random tournament: each edge orientation a fair coin flip."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    (flags,) = _null_flags(_one_block(n), _as_generator(rng))
+    """Uniformly random tournament: the planted model at gamma = 0, with no ranking."""
+    n = ModelParams(n, 0.0).n  # checked, as a Python int
+    (flags,) = _coin_flags(_one_block(n), 0.0, _as_generator(rng))
     return Tournament(n, _as_signs(flags))
 
 
@@ -419,7 +408,7 @@ def sample_planted(
     """
     if pi.n != params.n:
         raise ValueError(f"ranking has {pi.n} items but params.n = {params.n}")
-    (agree,) = _planted_flags(_one_block(params.n), params.gamma, _as_generator(rng))
+    (agree,) = _coin_flags(_one_block(params.n), params.gamma, _as_generator(rng))
     r = _narrow(pi.ranks)
     np.equal((r[:, None] < r[None, :])[upper_mask(r.size)], agree, out=agree)
     return Tournament(params.n, _as_signs(agree))
@@ -445,10 +434,9 @@ def sample_planted_uniform(
 
 def sample_null_scores(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Win scores of ``sample_null(n, rng)``, from the same stream, without the tournament."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = ModelParams(n, 0.0).n  # checked, as a Python int
     plan = _row_blocks(n)
-    return _win_scores(n, plan, _null_flags(plan, _as_generator(rng)))
+    return _win_scores(n, plan, _coin_flags(plan, 0.0, _as_generator(rng)))
 
 
 def sample_planted_scores(
@@ -462,7 +450,7 @@ def sample_planted_scores(
     gen = _as_generator(rng)
     pi = _uniform_ranking(params.n, gen)
     plan = _row_blocks(params.n)
-    flags = _planted_flags(plan, params.gamma, gen)
+    flags = _coin_flags(plan, params.gamma, gen)
     return pi, _win_scores(params.n, plan, flags, _narrow(pi.ranks))
 
 

@@ -152,7 +152,7 @@ def spectral_statistic(t: Tournament) -> float:
 
 def spectral_test(t: Tournament, epsilon: float) -> DetectionVerdict:
     """Declare planted iff spectral_statistic / sqrt(n) >= 2 + epsilon."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
     scaled = spectral_statistic(t) / math.sqrt(t.n)
     return DetectionVerdict(scaled, 2.0 + epsilon)

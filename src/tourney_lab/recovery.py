@@ -109,7 +109,7 @@ def expected_error_bound(params: ModelParams) -> float:
 
 def concavity_check(a: float, b: float, grid: int) -> bool:
     """Check concavity of (1-y) Phi(-a*y - b) on [0, 1] by central differences."""
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):  # also rejects NaN
         raise ValueError("a and b must be non-negative")
     if grid < 3:
         raise ValueError("grid must have at least 3 points")

@@ -36,15 +36,14 @@ def random_ranking(n, gen) -> Ranking:
 
 
 # The score samplers walk blocks of whole rows with at most 2^18 edges: 724 is
-# the last size with a single block.  At n = 725 the first block holds
-# 262 125 edges, not a multiple of 4, so the null flags carry across blocks.
+# the last size with a single block.
 BLOCK_SIZES = [2, 3, 724, 725, 726, 2000]
 
 
 # Reference draws: each reads a whole draw from the generator in one call and
 # builds it with numpy alone, sharing no code with the samplers.
 def one_call_null_signs(n, twin) -> np.ndarray:
-    return 2 * twin.integers(0, 2, edge_count(n), dtype=np.int8) - 1
+    return np.where(twin.random(edge_count(n)) < 0.5, 1, -1)
 
 
 def one_call_planted_signs(ranks, gamma, twin) -> np.ndarray:
@@ -162,11 +161,32 @@ class TestSampleNull:
         assert abs(total / 100_000) < 0.02
 
     @pytest.mark.parametrize("n", [1] + BLOCK_SIZES)
-    def test_draw_is_one_integers_call(self, n):
+    def test_draw_is_one_random_call(self, n):
         gen, twin = RngStream(47, n).generator(), RngStream(47, n).generator()
         t = sample_null(n, gen)
         assert np.array_equal(t.upper_signs(), one_call_null_signs(n, twin))
-        assert gen.integers(2**32) == twin.integers(2**32)
+        assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("n", [1] + BLOCK_SIZES)
+    def test_null_is_planted_at_gamma_zero(self, n):
+        # For the identity ranking every pair i < j has i ranked above j, so an
+        # edge agrees with it exactly when i beats j.
+        params, identity = ModelParams(n, 0.0), Ranking.identity(n)
+        gen, twin = RngStream(61, n).generator(), RngStream(61, n).generator()
+        planted = sample_planted(params, identity, twin)
+        assert sample_null(n, gen) == planted
+        assert gen.random() == twin.random()
+        gen, twin = RngStream(67, n).generator(), RngStream(67, n).generator()
+        planted = sample_planted(params, identity, twin)
+        assert np.array_equal(sample_null_scores(n, gen), planted.scores())
+        assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError):
+            sample_null(n, RngStream(1))
+        with pytest.raises(ValueError):
+            sample_null_scores(n, RngStream(1))
 
     def test_determinism(self):
         a = sample_null(20, RngStream(99, 5))
@@ -235,6 +255,18 @@ class TestSamplePlanted:
             ModelParams(3, 0.6)
         with pytest.raises(ValueError):
             ModelParams(0, 0.1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, np.float64(2.0), "3", None])
+    def test_params_reject_non_integer_n(self, n):
+        with pytest.raises(ValueError):
+            ModelParams(n, 0.1)
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.uint16(5)])
+    def test_params_accept_integral_n(self, n):
+        assert type(ModelParams(n, 0.1).n) is int
+        pi, scores = sample_planted_scores(ModelParams(n, 0.1), RngStream(3))
+        expected_pi, expected = sample_planted_scores(ModelParams(5, 0.1), RngStream(3))
+        assert pi == expected_pi and np.array_equal(scores, expected)
 
 
 class TestSamplePlantedUniform:

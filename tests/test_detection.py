@@ -293,6 +293,10 @@ class TestSpectralTest:
         with pytest.raises(ValueError):
             spectral_test(cyclic3(), 0.0)
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError):
+            spectral_test(cyclic3(), float("nan"))
+
     def test_transition_small_scale(self):
         # quick version of the spectral transition at n=400
         n, eps = 400, 0.1

@@ -252,7 +252,7 @@ class TestRunSweep:
         assert np.mean(verdicts) <= 0.10
 
     def test_detect_wedge_rows_match_tournament_draws(self, tmp_path):
-        # n = 725 takes two score blocks, the first ending off a multiple of 4 edges.
+        # n = 725 takes two score blocks.
         n, gammas, trials = 725, [0.0, 0.05], 2
         cfg = make_config(tmp_path, n_values=[n], gamma_spec=gammas, trials=trials)
         run_sweep(cfg)

@@ -281,6 +281,11 @@ class TestConcavityCheck:
         with pytest.raises(ValueError):
             concavity_check(-1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            concavity_check(a, b, 5)
+
 
 class TestOptBounds:
     def test_order(self):
