@@ -7,11 +7,11 @@ each edge towards the orientation implied by a hidden ranking; the null
 model is the planted one at ``gamma = 0``: every edge a fair coin flip.
 
 Both models read their coin flips from the generator in one private walker,
-``_coin_flags``, that takes a plan of blocks of whole rows and yields each
-block's flags in edge order.  The ``Tournament``
-samplers read a draw as one block.  The score samplers ``sample_null_scores``
-and ``sample_planted_scores`` read the same draws in blocks of at most 2^18
-edges, so their scores equal ``sample_null(...).scores()`` and those of
+``_coin_flags``, that yields the flags of each block of whole rows, at most
+2^18 edges a block, in edge order.  Every sampler reads a draw in these
+blocks: the ``Tournament`` samplers join them, and the score samplers
+``sample_null_scores`` and ``sample_planted_scores`` reduce them, so their
+scores equal ``sample_null(...).scores()`` and those of
 ``sample_planted_uniform``, bit for bit, while memory stays a few MiB at any
 n.  One reducer, ``_win_scores``, turns the blocks into win scores, for the
 samplers and for ``Tournament.scores`` alike, without the skew-symmetric
@@ -185,8 +185,7 @@ class Tournament:
 
     def __init__(self, n: int, signs: np.ndarray):
         """Store a copy of ``signs``, which must be +-1; from_upper_signs checks them."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
+        n = ModelParams(n, 0.0).n  # checked, as a Python int
         m = edge_count(n)
         signs = np.array(signs, dtype=np.int8)
         if signs.shape != (m,):
@@ -238,7 +237,8 @@ class Tournament:
     def scores(self) -> np.ndarray:
         """Win scores s_i = sum_k T_{i,k}: a read-only int64 array, computed on the first call."""
         if self._scores is None:
-            self._scores = _win_scores(self._n, _one_block(self._n), [self._signs > 0])
+            blocks = (self._signs[lo:hi] > 0 for *_, lo, hi in _row_blocks(self._n))
+            self._scores = _win_scores(self._n, blocks)
             self._scores.setflags(write=False)
         return self._scores
 
@@ -277,11 +277,11 @@ class Ranking:
 
     @classmethod
     def identity(cls, n: int) -> "Ranking":
-        return cls(np.arange(1, n + 1))
+        return cls(np.arange(1, ModelParams(n, 0.0).n + 1))
 
     @classmethod
     def reversal(cls, n: int) -> "Ranking":
-        return cls(np.arange(n, 0, -1))
+        return cls(np.arange(ModelParams(n, 0.0).n, 0, -1))
 
     @classmethod
     def from_order(cls, order) -> "Ranking":
@@ -329,13 +329,15 @@ class Ranking:
         return f"Ranking({self._ranks.tolist()})"
 
 
-# The score samplers read a draw in blocks of whole rows, with at most this many
-# edges unless a single row has more.
+# Every reader of a draw takes it in blocks of whole rows, with at most this
+# many edges unless a single row has more.
 _BLOCK_EDGES = 1 << 18
 
 
-def _row_blocks(n: int) -> list:
-    """Plan of (a, b, e) per block: rows a..b-1, columns a..n-1, holding e edges.
+# A sweep asks for one n many times in a row, and each draw reads the plan twice.
+@functools.lru_cache(maxsize=1)
+def _row_blocks(n: int) -> tuple:
+    """Plan of (a, b, lo, hi) per block: rows a..b-1 and columns a..n-1, holding edges lo..hi-1.
 
     Each block takes as many whole rows as fit in _BLOCK_EDGES, and at least one.
     """
@@ -344,31 +346,27 @@ def _row_blocks(n: int) -> list:
     while a < n - 1:
         b = int(np.searchsorted(start, start[a] + _BLOCK_EDGES, side="right")) - 1
         b = min(max(b, a + 1), n - 1)
-        blocks.append((a, b, int(start[b] - start[a])))
+        blocks.append((a, b, int(start[a]), int(start[b])))
         a = b
-    return blocks
+    return tuple(blocks)
 
 
-def _one_block(n: int) -> list:
-    """The plan that reads a whole draw at once: every row in one block."""
-    return [(0, n, edge_count(n))]
-
-
-def _coin_flags(plan: list, gamma: float, gen: np.random.Generator):
-    """Bool coin flags, each true with probability 1/2 + gamma: one array per block of ``plan``.
+def _coin_flags(n: int, gamma: float, gen: np.random.Generator):
+    """Bool coin flags, each true with probability 1/2 + gamma: one array per row block.
 
     A flag says the edge agrees with the hidden ranking or, in the null model
     (gamma = 0, no ranking), that i beats j.  The flags come in edge order;
     generator.random fills consecutive slices of one buffer with the same
     doubles as one call.
     """
-    uniforms = np.empty(max((e for *_, e in plan), default=0))
-    for *_, e in plan:
-        yield gen.random(out=uniforms[:e]) < (0.5 + gamma)
+    plan = _row_blocks(n)
+    uniforms = np.empty(max((hi - lo for *_, lo, hi in plan), default=0))
+    for *_, lo, hi in plan:
+        yield gen.random(out=uniforms[: hi - lo]) < (0.5 + gamma)
 
 
-def _win_scores(n: int, plan: list, flags, ranks: np.ndarray | None = None) -> np.ndarray:
-    """Win scores (int64) from the flags of each block of a plan covering every pair once.
+def _win_scores(n: int, flags, ranks: np.ndarray | None = None) -> np.ndarray:
+    """Win scores (int64) from the flags of each row block, in the order _row_blocks plans them.
 
     A flag says that i beats j or, given ``ranks``, that the edge agrees with
     them: i beats j exactly when "i is ranked above j" equals the flag.  Vertex i
@@ -377,7 +375,7 @@ def _win_scores(n: int, plan: list, flags, ranks: np.ndarray | None = None) -> n
     """
     count = np.min_scalar_type(n)  # a block row or column holds fewer than n flags
     row_minus_col = np.zeros(n, dtype=np.int64)
-    for (a, b, _), block_flags in zip(plan, flags):
+    for (a, b, _, _), block_flags in zip(_row_blocks(n), flags):
         upper = upper_mask(n - a, b - a)
         beats = np.zeros(upper.shape, dtype=bool)
         beats[upper] = block_flags
@@ -393,8 +391,8 @@ def _win_scores(n: int, plan: list, flags, ranks: np.ndarray | None = None) -> n
 def sample_null(n: int, rng: RngStream | np.random.Generator) -> Tournament:
     """Uniformly random tournament: the planted model at gamma = 0, with no ranking."""
     n = ModelParams(n, 0.0).n  # checked, as a Python int
-    (flags,) = _coin_flags(_one_block(n), 0.0, _as_generator(rng))
-    return Tournament(n, _as_signs(flags))
+    flags = _coin_flags(n, 0.0, _as_generator(rng))
+    return Tournament(n, _as_signs(np.concatenate([np.empty(0, bool), *flags])))  # n = 1: no blocks
 
 
 def sample_planted(
@@ -402,16 +400,20 @@ def sample_planted(
 ) -> Tournament:
     """Tournament whose edges agree with ``pi`` with probability 1/2 + gamma.
 
-    One pass: edge (i, j) is +1 exactly when "i is ranked above j" equals
-    "the edge agrees with pi", computed in place on the int8 view of the
-    coin flips.
+    One pass per row block: edge (i, j) is +1 exactly when "i is ranked
+    above j" equals "the edge agrees with pi", computed in place on the coin
+    flips, so no n x n comparison is built.
     """
-    if pi.n != params.n:
-        raise ValueError(f"ranking has {pi.n} items but params.n = {params.n}")
-    (agree,) = _coin_flags(_one_block(params.n), params.gamma, _as_generator(rng))
+    n = params.n
+    if pi.n != n:
+        raise ValueError(f"ranking has {pi.n} items but params.n = {n}")
     r = _narrow(pi.ranks)
-    np.equal((r[:, None] < r[None, :])[upper_mask(r.size)], agree, out=agree)
-    return Tournament(params.n, _as_signs(agree))
+    flags = _coin_flags(n, params.gamma, _as_generator(rng))
+    beats = (
+        np.equal((r[a:b, None] < r[None, a:])[upper_mask(n - a, b - a)], agree, out=agree)
+        for (a, b, _, _), agree in zip(_row_blocks(n), flags)
+    )
+    return Tournament(n, _as_signs(np.concatenate([np.empty(0, bool), *beats])))
 
 
 def _uniform_ranking(n: int, gen: np.random.Generator) -> Ranking:
@@ -435,8 +437,7 @@ def sample_planted_uniform(
 def sample_null_scores(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Win scores of ``sample_null(n, rng)``, from the same stream, without the tournament."""
     n = ModelParams(n, 0.0).n  # checked, as a Python int
-    plan = _row_blocks(n)
-    return _win_scores(n, plan, _coin_flags(plan, 0.0, _as_generator(rng)))
+    return _win_scores(n, _coin_flags(n, 0.0, _as_generator(rng)))
 
 
 def sample_planted_scores(
@@ -449,9 +450,8 @@ def sample_planted_scores(
     """
     gen = _as_generator(rng)
     pi = _uniform_ranking(params.n, gen)
-    plan = _row_blocks(params.n)
-    flags = _coin_flags(plan, params.gamma, gen)
-    return pi, _win_scores(params.n, plan, flags, _narrow(pi.ranks))
+    flags = _coin_flags(params.n, params.gamma, gen)
+    return pi, _win_scores(params.n, flags, _narrow(pi.ranks))
 
 
 def induced_tournament(pi: Ranking) -> Tournament:

@@ -243,8 +243,8 @@ class SweepConfig:
             raise ConfigError("threads must be a positive integer")
         if not _is_int(self.seed):
             raise ConfigError("seed must be an integer")
-        if not isinstance(self.output_path, str):
-            raise ConfigError("output_path must be a string")
+        if not isinstance(self.output_path, str) or "\0" in self.output_path:
+            raise ConfigError("output_path must be a string with no NUL character")
         if not isinstance(self.n_values, tuple) or not self.n_values:
             raise ConfigError("n_values must be a non-empty list")
         for n in self.n_values:
@@ -364,9 +364,16 @@ def _write_csv(path, header: list, records) -> None:
         raise
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")  # run_sweep never writes one
+    return value
+
+
 def read_rows(path) -> list:
     """Parse a sweep CSV back into rows, checking the schema."""
-    converters = (str, int, float, int, str, float)  # one per SweepRow field
+    converters = (str, int, _finite_float, int, str, _finite_float)  # one per SweepRow field
     rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

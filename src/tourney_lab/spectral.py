@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .core import upper_mask
+
 __all__ = [
     "build_A",
     "closed_form_eigenpair",
@@ -23,7 +25,7 @@ def build_A(n: int) -> np.ndarray:
     """Hermitian matrix with +i above the diagonal, -i below, 0 on it."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    upper = np.triu(np.ones((n, n)), k=1)
+    upper = upper_mask(n)
     return 1j * upper - 1j * upper.T
 
 

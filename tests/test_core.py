@@ -35,8 +35,8 @@ def random_ranking(n, gen) -> Ranking:
     return Ranking(gen.permutation(n) + 1)
 
 
-# The score samplers walk blocks of whole rows with at most 2^18 edges: 724 is
-# the last size with a single block.
+# Every sampler, and Tournament.scores, walks blocks of whole rows with at most
+# 2^18 edges: 724 is the last size with a single block.
 BLOCK_SIZES = [2, 3, 724, 725, 726, 2000]
 
 
@@ -95,6 +95,29 @@ class TestTournament:
         with pytest.raises(ValueError):
             Tournament.from_upper_signs(3, np.array([1, 1]))
 
+    # Each sign list holds n(n - 1)/2 signs, so only the type of n is wrong.
+    @pytest.mark.parametrize("n, signs", [(2.5, [1]), (3.0, [1] * 3), (True, []), ("3", [1] * 3)])
+    def test_non_integer_n_rejected(self, n, signs):
+        with pytest.raises(ValueError):
+            Tournament.from_upper_signs(n, signs)
+
+    def test_integral_n_stored_as_int(self):
+        t = Tournament.from_upper_signs(np.int64(3), [1, -1, 1])
+        assert type(t.n) is int and t == cyclic3()
+        assert t.scores().tolist() == cyclic3().scores().tolist() == [0, 0, 0]
+
+    def test_scores_peak_small_at_five_thousand(self):
+        # Scattering the 12.5 million signs into an n x n array peaked at 60 MiB.
+        t = sample_null(5000, RngStream(2))
+        tracemalloc.start()
+        try:
+            scores = t.scores()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.array_equal(scores, pair_sum_scores(5000, t.upper_signs()))
+
 
 class TestRanking:
     def test_validation(self):
@@ -138,6 +161,17 @@ class TestRanking:
     def test_reversed(self):
         pi = Ranking([2, 1, 3])
         assert pi.reversed() == Ranking([2, 3, 1])
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_identity_and_reversal_reject_non_integer_n(self, n):
+        with pytest.raises(ValueError):
+            Ranking.identity(n)
+        with pytest.raises(ValueError):
+            Ranking.reversal(n)
+
+    def test_identity_and_reversal_accept_integral_n(self):
+        assert Ranking.identity(np.int64(3)) == Ranking([1, 2, 3])
+        assert Ranking.reversal(np.int64(3)) == Ranking([3, 2, 1])
 
 
 class TestSampleNull:
@@ -296,6 +330,18 @@ class TestSamplePlantedUniform:
         p1, t1 = sample_planted_uniform(ModelParams(8, 0.2), RngStream(4, 9))
         p2, t2 = sample_planted_uniform(ModelParams(8, 0.2), RngStream(4, 9))
         assert p1 == p2 and t1 == t2
+
+    def test_draw_peak_small_at_five_thousand(self):
+        # 12.5 million uniforms and an n x n rank comparison peaked at 107 MiB;
+        # the signs the tournament keeps are 12 MiB.
+        tracemalloc.start()
+        try:
+            pi, t = sample_planted_uniform(ModelParams(5000, 0.01), RngStream(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert pi.n == t.n == 5000 and t.num_edges == edge_count(5000)
 
 
 class TestScoreSamplers:

@@ -143,6 +143,7 @@ class TestConfigValidation:
             {"n_values": 5},
             {"experiment": ["recover"]},
             {"output_path": 5},
+            pytest.param({"output_path": "a\u0000b.csv"}, id="nul-in-output-path"),
             {"trials": True},
             {"seed": True},
             {"threads": True},
@@ -395,6 +396,18 @@ class TestSummarize:
         path.write_text(",".join(CSV_HEADER) + "\nrecover,ten,0.1,0,kendall_error,7\n")
         with pytest.raises(MalformedCsvError):
             summarize(path)
+
+    @pytest.mark.parametrize(
+        "gamma, value", [("0.1", "nan"), ("0.1", "inf"), ("0.1", "-inf"), ("nan", "7")]
+    )
+    def test_non_finite_number_rejected(self, tmp_path, gamma, value):
+        # run_sweep never writes one, and summarize would report nan means.
+        path = tmp_path / "bad3.csv"
+        path.write_text(",".join(CSV_HEADER) + f"\nrecover,10,{gamma},0,kendall_error,{value}\n")
+        with pytest.raises(MalformedCsvError):
+            summarize(path)
+        assert main(["summarize", "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+        assert not (tmp_path / "o.csv").exists()
 
     def test_write_summary_roundtrip(self, tmp_path):
         src = tmp_path / "src.csv"
