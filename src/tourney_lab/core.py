@@ -152,6 +152,19 @@ def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _check_size(n) -> int:
+    """``n`` as a Python int, checked to be an integer (not a bool) of at least 1.
+
+    The int cast also means n(n - 1)/2 cannot overflow, e.g. for an np.uint16 n.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return n
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Planted model parameters: size ``n`` and edge bias ``gamma``.
@@ -164,11 +177,7 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))  # n(n - 1)/2 cannot overflow an int
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "n", _check_size(self.n))
         if not 0.0 <= self.gamma <= 0.5:
             raise ValueError("gamma must lie in [0, 1/2]")
 
@@ -185,7 +194,7 @@ class Tournament:
 
     def __init__(self, n: int, signs: np.ndarray):
         """Store a copy of ``signs``, which must be +-1; from_upper_signs checks them."""
-        n = ModelParams(n, 0.0).n  # checked, as a Python int
+        n = _check_size(n)
         m = edge_count(n)
         signs = np.array(signs, dtype=np.int8)
         if signs.shape != (m,):
@@ -194,6 +203,20 @@ class Tournament:
         self._n = n
         self._signs = signs
         self._scores = None
+
+    @classmethod
+    def _adopt(cls, n: int, signs: np.ndarray) -> "Tournament":
+        """Wrap ``signs`` without a copy and make it read-only.
+
+        For samplers only: ``signs`` is the fresh int8 +-1 array of n(n-1)/2
+        edges that one has just built for a checked ``n``.
+        """
+        signs.setflags(write=False)
+        t = cls.__new__(cls)
+        t._n = n
+        t._signs = signs
+        t._scores = None
+        return t
 
     @classmethod
     def from_upper_signs(cls, n: int, signs: np.ndarray) -> "Tournament":
@@ -277,11 +300,11 @@ class Ranking:
 
     @classmethod
     def identity(cls, n: int) -> "Ranking":
-        return cls(np.arange(1, ModelParams(n, 0.0).n + 1))
+        return cls(np.arange(1, _check_size(n) + 1))
 
     @classmethod
     def reversal(cls, n: int) -> "Ranking":
-        return cls(np.arange(ModelParams(n, 0.0).n, 0, -1))
+        return cls(np.arange(_check_size(n), 0, -1))
 
     @classmethod
     def from_order(cls, order) -> "Ranking":
@@ -388,11 +411,22 @@ def _win_scores(n: int, flags, ranks: np.ndarray | None = None) -> np.ndarray:
     return 2 * (row_minus_col + np.arange(n)) - (n - 1)
 
 
+def _tournament_from_blocks(n: int, blocks) -> Tournament:
+    """The tournament whose edge flags (i beats j) come in the row blocks of _row_blocks(n).
+
+    Each block is written into one fresh array that the tournament adopts, so a
+    draw holds its edges once, plus one block.
+    """
+    flags = np.empty(edge_count(n), dtype=bool)
+    for (*_, lo, hi), block in zip(_row_blocks(n), blocks):
+        flags[lo:hi] = block
+    return Tournament._adopt(n, _as_signs(flags))
+
+
 def sample_null(n: int, rng: RngStream | np.random.Generator) -> Tournament:
     """Uniformly random tournament: the planted model at gamma = 0, with no ranking."""
-    n = ModelParams(n, 0.0).n  # checked, as a Python int
-    flags = _coin_flags(n, 0.0, _as_generator(rng))
-    return Tournament(n, _as_signs(np.concatenate([np.empty(0, bool), *flags])))  # n = 1: no blocks
+    n = _check_size(n)
+    return _tournament_from_blocks(n, _coin_flags(n, 0.0, _as_generator(rng)))
 
 
 def sample_planted(
@@ -413,7 +447,7 @@ def sample_planted(
         np.equal((r[a:b, None] < r[None, a:])[upper_mask(n - a, b - a)], agree, out=agree)
         for (a, b, _, _), agree in zip(_row_blocks(n), flags)
     )
-    return Tournament(n, _as_signs(np.concatenate([np.empty(0, bool), *beats])))
+    return _tournament_from_blocks(n, beats)
 
 
 def _uniform_ranking(n: int, gen: np.random.Generator) -> Ranking:
@@ -436,7 +470,7 @@ def sample_planted_uniform(
 
 def sample_null_scores(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Win scores of ``sample_null(n, rng)``, from the same stream, without the tournament."""
-    n = ModelParams(n, 0.0).n  # checked, as a Python int
+    n = _check_size(n)
     return _win_scores(n, _coin_flags(n, 0.0, _as_generator(rng)))
 
 
@@ -456,7 +490,7 @@ def sample_planted_scores(
 
 def induced_tournament(pi: Ranking) -> Tournament:
     """The transitive tournament that orients every edge as ``pi`` does."""
-    return Tournament(pi.n, pi.upper_pairwise_signs())
+    return Tournament._adopt(pi.n, pi.upper_pairwise_signs())
 
 
 def _check_same_size(p1: Ranking, p2: Ranking) -> None:

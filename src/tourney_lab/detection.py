@@ -6,11 +6,16 @@ models.  The spectral statistic is the largest eigenvalue of i*T, equal to
 the largest singular value of T.  It is found by Lanczos iteration on T alone
 (one matrix-vector product per step, never a full SVD), so its cost grows
 with the number of steps the top eigenvalue needs to converge, not with n^3.
+One Lanczos loop runs twice: a float32 pass, which reads T's +-1 entries
+exactly in half the bytes, only picks the start vector of a float64 pass, and
+the float64 pass decides the value.  It stops once the value has converged,
+which is about when the residual's square, not the residual, is negligible.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,31 +88,97 @@ def wedge_test(t: Tournament, params: ModelParams) -> DetectionVerdict:
     return DetectionVerdict(float(wedge_statistic(t)), threshold)
 
 
-# Lanczos stops once the top Ritz pair's residual, which bounds the error of
-# its Ritz value, is below this fraction of that value.
+# The float64 pass stops once the top Ritz pair's residual r, which bounds
+# the error of its Ritz value, is below this fraction of that value ...
 _RESIDUAL_TOL = 1e-14
+# ... or once r <= _VALUE_RESIDUAL_TOL * theta and r^2 <= _VALUE_TOL * theta *
+# (theta - theta2): the Ritz value's error is about r^2 / gap, so the value has
+# converged while the vector has not.
+_VALUE_RESIDUAL_TOL = 1e-6
+_VALUE_TOL = 1e-15
+# The float32 pass, which only supplies the float64 pass's start vector, stops
+# at this relative residual, or on a beta this small relative to the largest.
+_WARM_RESIDUAL_TOL = 3e-6
+_WARM_BREAKDOWN_TOL = 1e-6
 # Lanczos steps between two convergence checks.
-_CHECK_EVERY = 8
+_CHECK_EVERY = 4
 
 
-def _top_ritz_pair(betas: list[float]) -> tuple[float, float]:
-    """Top eigenvalue of the zero-diagonal tridiagonal with off-diagonal betas,
-    and the last entry of its unit eigenvector.
+def _top_ritz_pair(betas: list[float]) -> tuple[float, float, np.ndarray]:
+    """Top two eigenvalues of the zero-diagonal tridiagonal with off-diagonal
+    betas, and the unit eigenvector of the top one.
 
     Listing the even rows before the odd ones turns the tridiagonal into
     [[0, B], [B^T, 0]], with B lower bidiagonal (diagonal betas[0::2],
-    subdiagonal betas[1::2]).  So the eigenvalue is B's top singular value s,
-    with eigenvector (u, v) / sqrt(2) where B v = s u.
+    subdiagonal betas[1::2]).  So its eigenvalues are +-B's singular values
+    (and 0 for an odd size), and the top eigenvector is (u, v) / sqrt(2) where
+    B v = s u.  The second eigenvalue is taken as 0 below two singular values.
     """
     m = len(betas) + 1
     if m == 1:
-        return 0.0, 1.0
+        return 0.0, 0.0, np.ones(1)
     b = np.zeros(((m + 1) // 2, m // 2))
     np.fill_diagonal(b, betas[0::2])
     np.fill_diagonal(b[1:], betas[1::2])
     u, s, vt = np.linalg.svd(b)
-    last = u[-1, 0] if m % 2 else vt[0, -1]
-    return float(s[0]), float(last) / math.sqrt(2.0)
+    y = np.empty(m)
+    y[0::2] = u[:, 0]
+    y[1::2] = vt[0]
+    return float(s[0]), float(s[1]) if s.size > 1 else 0.0, y / math.sqrt(2.0)
+
+
+def _warm_converged(r: float, theta: float, theta2: float) -> bool:
+    return r <= _WARM_RESIDUAL_TOL * theta
+
+
+def _value_converged(r: float, theta: float, theta2: float) -> bool:
+    return r <= _RESIDUAL_TOL * theta or (
+        r <= _VALUE_RESIDUAL_TOL * theta and r * r <= _VALUE_TOL * theta * (theta - theta2)
+    )
+
+
+def _lanczos(
+    mat: np.ndarray,
+    v: np.ndarray,
+    converged: Callable[[float, float, float], bool],
+    breakdown_tol: float,
+) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of i*mat by Lanczos from the real unit vector v, in mat's dtype.
+
+    Returns the top Ritz value and the real part of its Ritz vector.  The loop
+    checks ``converged(residual, theta, theta2)`` every _CHECK_EVERY steps,
+    and stops on a beta at most breakdown_tol of the largest or after n steps.
+    """
+    n = len(v)
+    basis = np.empty((min(n, 2 * _CHECK_EVERY), n), dtype=mat.dtype)
+    betas: list[float] = []
+    beta = beta_max = 0.0
+    for k in range(n):
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty((min(k, n - k), n), dtype=mat.dtype)))
+        basis[k] = v
+        w = mat @ v
+        if k:
+            w += beta * basis[k - 1]
+        w -= (basis[: k + 1] @ w) @ basis[: k + 1]
+        beta = float(np.linalg.norm(w))
+        beta_max = max(beta_max, beta)
+        breakdown = beta <= breakdown_tol * beta_max
+        if (k + 1) % _CHECK_EVERY == 0 or k + 1 == n or breakdown:
+            theta, theta2, y = _top_ritz_pair(betas)
+            if breakdown or converged(beta * abs(y[-1]), theta, theta2):
+                break
+        betas.append(beta)
+        v = w / beta
+    # Lanczos vector k of i*mat is i^k basis[k], so the even ones make the real part.
+    signs = np.where(np.arange(0, k + 1, 2) % 4, -1.0, 1.0)
+    return theta, (signs * y[0::2]) @ basis[: k + 1 : 2]
+
+
+def _fixed_start(n: int) -> np.ndarray:
+    """The first pass's start vector: fixed per n, so the value depends on the tournament only."""
+    v = np.random.default_rng(0).standard_normal(n)
+    return v / np.linalg.norm(v)
 
 
 def spectral_statistic(t: Tournament) -> float:
@@ -117,36 +188,24 @@ def spectral_statistic(t: Tournament) -> float:
     simple.  Lanczos on i*T from a real start vector keeps every Lanczos
     vector real up to a factor i^k, with a zero diagonal in the tridiagonal,
     so the loop runs on the real T: beta_k v_{k+1} = T v_k + beta_{k-1} v_{k-1}.
-    Each new vector is reorthogonalized against all earlier ones.  The loop
-    stops when the top Ritz residual beta_k |y_k| is below 1e-14 of the Ritz
-    value, on breakdown, or after n steps, where the value is exact.  The
-    start vector is fixed per n, so the value depends on the tournament only.
+    Each new vector is reorthogonalized against all earlier ones.
+
+    Two passes run this one loop.  A float32 pass on T (whose +-1 entries
+    float32 holds exactly, in half the bytes) starts from a vector fixed per n
+    and stops at a Ritz residual of 3e-6 of the value; it yields only the real
+    part of its top Ritz vector.  A float64 pass from that vector decides the
+    value.  It stops at a Ritz residual of 1e-14 of the value, or once the
+    residual r is below 1e-6 of the value and r^2 / (theta1 - theta2), the
+    value's error, below 1e-15 of it.  Both passes also stop on breakdown or
+    after n steps, where the value is exact.
     """
-    n = t.n
-    mat = t.to_matrix().astype(np.float64)
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    basis = np.empty((min(n, 2 * _CHECK_EVERY), n))
-    betas: list[float] = []
-    beta = beta_max = theta = 0.0
-    for k in range(n):
-        if k == len(basis):
-            basis = np.concatenate((basis, np.empty((min(k, n - k), n))))
-        basis[k] = v
-        w = mat @ v
-        if k:
-            w += beta * basis[k - 1]
-        w -= (basis[: k + 1] @ w) @ basis[: k + 1]
-        beta = float(np.linalg.norm(w))
-        beta_max = max(beta_max, beta)
-        # The top Ritz value is at least beta_max, so a beta this small
-        # (a breakdown) already meets the residual test.
-        if (k + 1) % _CHECK_EVERY == 0 or k + 1 == n or beta <= _RESIDUAL_TOL * beta_max:
-            theta, last = _top_ritz_pair(betas)
-            if beta * abs(last) <= _RESIDUAL_TOL * theta:
-                break
-        betas.append(beta)
-        v = w / beta
+    skew = t.to_matrix()
+    mat = skew.astype(np.float32)
+    start = _fixed_start(t.n).astype(np.float32)
+    _, warm = _lanczos(mat, start, _warm_converged, _WARM_BREAKDOWN_TOL)
+    del mat  # never hold the float32 and float64 matrices at once
+    warm /= np.linalg.norm(warm)
+    theta, _ = _lanczos(skew.astype(np.float64), warm, _value_converged, _RESIDUAL_TOL)
     return theta
 
 

@@ -15,7 +15,11 @@ from tourney_lab.core import (
     upper_mask,
 )
 from tourney_lab.detection import (
+    _RESIDUAL_TOL,
     DetectionVerdict,
+    _fixed_start,
+    _lanczos,
+    _value_converged,
     spectral_statistic,
     spectral_test,
     wedge_from_scores,
@@ -226,10 +230,11 @@ class TestSpectralStatistic:
 
     def test_equals_largest_singular_value(self):
         # the full SVD is the oracle for the Lanczos iteration
-        for n in (1, 2, 3, 4, 5, 16, 17, 64, 200, 400):
+        for n in (1, 2, 3, 4, 5, 16, 17, 64, 200, 400, 600, 800):
             draws = [sample_null(n, RngStream(11, n)), induced_tournament(Ranking.identity(n))]
-            for k, gamma in enumerate((0.5 / math.sqrt(n), 1.5 / math.sqrt(n), 0.5)):
-                params = ModelParams(n, min(gamma, 0.5))
+            gammas = (0.5 / math.sqrt(n), 1.5 / math.sqrt(n), 0.5)
+            for k in range(3) if n <= 400 else (1,):  # the two largest sizes take c = 1.5 only
+                params = ModelParams(n, min(gammas[k], 0.5))
                 draws.append(sample_planted_uniform(params, RngStream(12 + k, n))[1])
             if n % 2:
                 draws.append(rotational(n))
@@ -237,6 +242,17 @@ class TestSpectralStatistic:
             for t in draws:
                 sv = float(np.linalg.svd(t.to_matrix().astype(float), compute_uv=False)[0])
                 assert abs(spectral_statistic(t) - sv) <= 1e-12 * sv, (n, t.upper_signs())
+
+    @pytest.mark.parametrize("n", [64, 400, 800])
+    def test_float32_pass_only_supplies_the_start(self, n):
+        # The float64 pass decides the value: it matches a float64-only run of
+        # the same loop from the fixed start vector.
+        params = ModelParams(n, 1.5 / math.sqrt(n))
+        draws = [sample_null(n, RngStream(17, n)), sample_planted_uniform(params, RngStream(18, n))[1]]
+        for t in draws:
+            mat = t.to_matrix().astype(np.float64)
+            theta, _ = _lanczos(mat, _fixed_start(n), _value_converged, _RESIDUAL_TOL)
+            assert abs(spectral_statistic(t) - theta) <= 1e-13 * theta
 
     def test_value_depends_on_tournament_only(self):
         draws = [

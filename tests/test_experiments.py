@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import itertools
@@ -225,7 +226,7 @@ class TestRunSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         grid = {"gamma_spec": [0.3], "trials": 2}
         wide = make_config(tmp_path, threads=64, **grid)
@@ -434,21 +435,30 @@ class TestCli:
         path.write_text(json.dumps(raw))
         return path
 
-    def test_cli_imports_no_scipy(self, tmp_path):
-        # a spectral sweep runs first, so a lazy import on that path shows too
-        config = self.write_config(
-            tmp_path, experiment="detect-spectral", n_values=[8], gamma_spec=[0.0], trials=1
-        )
+    def modules_after_run(self, config: Path, *args: str) -> list:
+        """Names in sys.modules after a fresh interpreter runs the CLI on ``config``."""
         code = (
-            "import sys, tourney_lab.cli;"
-            f" assert tourney_lab.cli.main(['run', '--config', {str(config)!r}]) == 0;"
-            " print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+            "import json, sys, tourney_lab.cli;"
+            f" assert tourney_lab.cli.main(['run', '--config', {str(config)!r}, *{args!r}]) == 0;"
+            " print(json.dumps(list(sys.modules)))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.splitlines()[-1] == "[]"
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_cli_imports_no_scipy(self, tmp_path):
+        # a spectral sweep runs first, so a lazy import on that path shows too
+        config = self.write_config(
+            tmp_path, experiment="detect-spectral", n_values=[8], gamma_spec=[0.0], trials=1
+        )
+        assert [m for m in self.modules_after_run(config) if m.split(".")[0] == "scipy"] == []
+
+    def test_serial_run_imports_no_process_pool(self, tmp_path):
+        # two trials, so only --threads 1 keeps the sweep in this process
+        modules = self.modules_after_run(self.write_config(tmp_path), "--threads", "1")
+        assert "concurrent.futures.process" not in modules
 
     def test_run_and_summarize(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
