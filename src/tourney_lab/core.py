@@ -111,14 +111,24 @@ def tournament_code(signs: np.ndarray) -> int:
 
 @functools.lru_cache(maxsize=1)
 def ranking_codes(k: int) -> np.ndarray:
-    """Read-only int64 tournament_code of every ranking of k items, built one edge at a time.
+    """Read-only int64 tournament_code of every ranking of k items, built level by level.
 
     Row r codes the rank array permutation_table(k)[r] + 1: rank arrays in lexicographic order.
+    Level k follows permutation_table's blocks.  Edges (0, j) come first in the edge order, so
+    block v is (codes of level k - 1) << (k - 1), or'ed with the row bits of a leading v: bit
+    j - 1 is set when the shorter row holds a value >= v at j - 1.  Those bits start all set
+    and lose, from one block to the next, the bit at the position of value v in the shorter row.
     """
-    table = permutation_table(k)
-    codes = np.zeros(table.shape[0], dtype=np.int64)
-    for bit, (i, j) in enumerate(zip(*np.nonzero(upper_mask(k)))):
-        np.bitwise_or(codes, 1 << bit, out=codes, where=table[:, i] < table[:, j])
+    codes = np.zeros(1, dtype=np.int64)
+    for size in range(2, k + 1):
+        shorter, rows = permutation_table(size - 1), codes.size
+        high = codes << (size - 1)
+        rowbits = np.full(rows, (1 << (size - 1)) - 1, dtype=np.int64)
+        codes = np.empty(rows * size, dtype=np.int64)
+        for v in range(size):
+            np.bitwise_or(high, rowbits, out=codes[v * rows : (v + 1) * rows])
+            if v < size - 1:
+                rowbits ^= np.left_shift(1, np.argmax(shorter == v, axis=1))
     codes.setflags(write=False)
     return codes
 

@@ -5,7 +5,10 @@ shapes (edge subsets of K_n).  Under the planted model the expectation of
 T^S factors as (2*gamma)^|S| times a sign average over the relative orders
 of the touched vertices; summing squared expectations over all shapes gives
 the chi-squared divergence between planted and null.  Everything here is
-exact-by-enumeration and guarded to small sizes.
+exact.  Sign averages enumerate the orders of a shape's vertices; the
+divergences read the planted pmf over all 2^m tournaments, which is the
+histogram of the n! ranking codes smoothed by the per-edge noise, and are
+guarded to small n.
 """
 
 from __future__ import annotations
@@ -91,40 +94,59 @@ def _check_divergence_size(n: int) -> None:
         )
 
 
+def _per_bit(values: np.ndarray, matrix) -> np.ndarray:
+    """Apply the 2x2 ``matrix`` in place along every bit of the index into ``values``.
+
+    The pair (a, b), of entries whose indices differ only in that bit (clear in a),
+    becomes matrix @ (a, b).  ``values.size`` is a power of two.
+    """
+    (w, x), (y, z) = matrix
+    h = 1
+    while h < values.size:
+        pair = values.reshape(-1, 2, h)
+        pair[:, 0], pair[:, 1] = w * pair[:, 0] + x * pair[:, 1], y * pair[:, 0] + z * pair[:, 1]
+        h *= 2
+    return values
+
+
+def _ranking_histogram(n: int) -> np.ndarray:
+    """Share of the n! rankings whose tournament_code is each of the 2^m codes."""
+    return np.bincount(ranking_codes(n), minlength=2 ** edge_count(n)) / math.factorial(n)
+
+
 @functools.lru_cache(maxsize=1)
 def _planted_pmf(params: ModelParams) -> np.ndarray:
     """Probability of each of the 2^m tournaments under the planted model.
 
     Tournament T is the integer whose bit e is set when edge e has sign +1.
-    Averages the product edge law over all n! hidden rankings.  The last
-    result is cached read-only, so chi2_exact and tv_exact at the same
-    params enumerate once.
+    Given the hidden ranking each edge keeps its orientation with probability
+    p = 1/2 + gamma and flips with q = 1/2 - gamma, independently, so the pmf
+    is the ranking-code histogram smoothed bit by bit by [[p, q], [q, p]]:
+    m passes over 2^m entries, with no loop over the n! rankings.  Every
+    weight is non-negative, so nothing cancels, and at gamma = 1/2 the zeros
+    stay exactly 0.  The last result is cached read-only, so chi2_exact
+    and tv_exact at the same params build it once.
     """
-    n, gamma = params.n, params.gamma
-    _check_divergence_size(n)
-    m = edge_count(n)
-    # P(T | pi) depends only on the number of edges agreeing with pi.
-    agree_prob = np.array(
-        [(0.5 + gamma) ** a * (0.5 - gamma) ** (m - a) for a in range(m + 1)]
-    )
-    tournaments = np.arange(2**m, dtype=np.int64)
-    pmf = np.zeros(2**m)
-    for code in ranking_codes(n):
-        pmf += agree_prob[m - np.bitwise_count(tournaments ^ code)]
-    pmf /= math.factorial(n)
+    _check_divergence_size(params.n)
+    p, q = 0.5 + params.gamma, 0.5 - params.gamma
+    pmf = _per_bit(_ranking_histogram(params.n), ((p, q), (q, p)))
     pmf.setflags(write=False)
     return pmf
 
 
 def chi2_exact(params: ModelParams) -> float:
-    """Chi-squared divergence of planted from null, by full enumeration."""
+    """Chi-squared divergence of planted from null, from the exact planted pmf.
+
+    Reads 2^m * sum (pmf - 2^-m)^2, which equals 2^m * sum pmf^2 - 1 since the
+    pmf sums to one, without that form's cancellation at small gamma.
+    """
     pmf = _planted_pmf(params)
     q = 1.0 / pmf.size
-    return float(np.sum(pmf * pmf) / q - 1.0)
+    return float(pmf.size * np.sum((pmf - q) ** 2))
 
 
 def tv_exact(params: ModelParams) -> float:
-    """Total variation distance of planted from null, by full enumeration."""
+    """Total variation distance of planted from null, from the exact planted pmf."""
     pmf = _planted_pmf(params)
     q = 1.0 / pmf.size
     return float(0.5 * np.abs(pmf - q).sum())
@@ -141,14 +163,8 @@ def chi2_fourier(params: ModelParams) -> float:
     """
     n, gamma = params.n, params.gamma
     _check_divergence_size(n)
-    m = edge_count(n)
-    averages = np.bincount(ranking_codes(n), minlength=2**m) / math.factorial(n)
-    h = 1
-    while h < averages.size:
-        pair = averages.reshape(-1, 2, h)
-        pair[:, 0], pair[:, 1] = pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]
-        h *= 2
-    weights = (2.0 * gamma) ** (2 * np.bitwise_count(np.arange(2**m)))
+    averages = _per_bit(_ranking_histogram(n), ((1.0, 1.0), (1.0, -1.0)))
+    weights = (2.0 * gamma) ** (2 * np.bitwise_count(np.arange(averages.size)))
     return float(np.sum(weights[1:] * averages[1:] ** 2))
 
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ModelParams, Ranking, Tournament, permutation_table, ranking_codes, tournament_code
-)
+from .core import ModelParams, Ranking, Tournament, ranking_codes, tournament_code
 
 __all__ = [
     "MleResult",
@@ -75,6 +73,20 @@ def pessimistic_error_statistic(t: Tournament, hidden: Ranking) -> int:
     return int(np.count_nonzero(bad))
 
 
+def _lexicographic_permutation(k: int, index: int) -> np.ndarray:
+    """Row ``index`` of permutation_table(k): read ``index`` in the factorial number system.
+
+    Its digit for size s (k down to 1) is the rank of the next leading value among the
+    values left, since each leading value heads a block of (s - 1)! rows.
+    """
+    left = list(range(k))
+    row = []
+    for size in range(k, 0, -1):
+        digit, index = divmod(index, math.factorial(size - 1))
+        row.append(left.pop(digit))
+    return np.array(row, dtype=np.int8)
+
+
 def brute_force_mle(t: Tournament) -> MleResult:
     """Maximize alignment over all rankings by exhaustive enumeration.
 
@@ -88,7 +100,7 @@ def brute_force_mle(t: Tournament) -> MleResult:
     disagree = np.bitwise_count(ranking_codes(n) ^ tournament_code(t.upper_signs()))
     best_idx = int(np.argmin(disagree))
     return MleResult(
-        best_ranking=Ranking(permutation_table(n)[best_idx] + 1),
+        best_ranking=Ranking(_lexicographic_permutation(n, best_idx) + 1),
         best_alignment=t.num_edges - 2 * int(disagree[best_idx]),
         optima_count=int(np.count_nonzero(disagree == disagree[best_idx])),
     )

@@ -23,6 +23,7 @@ from tourney_lab.core import (
     sample_planted_uniform,
     spearman_footrule,
     tournament_code,
+    upper_mask,
 )
 
 
@@ -544,7 +545,27 @@ def bit_code(signs) -> int:
     return sum(1 << e for e, sign in enumerate(signs) if sign > 0)
 
 
+def codes_one_edge_at_a_time(k: int) -> np.ndarray:
+    """Oracle ranking_codes: bit e of row r is set when edge e = (i, j) has row[i] < row[j]."""
+    table = permutation_table(k)
+    codes = np.zeros(table.shape[0], dtype=np.int64)
+    for bit, (i, j) in enumerate(zip(*np.nonzero(upper_mask(k)))):
+        np.bitwise_or(codes, 1 << bit, out=codes, where=table[:, i] < table[:, j])
+    return codes
+
+
 class TestRankingCodes:
+    @pytest.mark.parametrize("k", range(10))
+    def test_level_by_level_equals_one_edge_at_a_time(self, k):
+        assert np.array_equal(ranking_codes(k), codes_one_edge_at_a_time(k))
+
+    def test_every_edge_set_in_half_the_rankings_at_ten_items(self):
+        # The k = 10 level is the one planted_sign_average reads at MAX_SHAPE_VERTICES.
+        codes = ranking_codes(10)
+        assert codes.shape == (math.factorial(10),)
+        set_bits = int(np.bitwise_count(codes).sum(dtype=np.int64))
+        assert set_bits == math.comb(10, 2) * math.factorial(10) // 2
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_row_codes_the_rank_array_of_permutation_table(self, k):
         codes = ranking_codes(k)

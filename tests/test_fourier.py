@@ -10,9 +10,11 @@ from tourney_lab.core import (
     Ranking,
     RngStream,
     Tournament,
+    ranking_codes,
     sample_planted_uniform,
 )
 from tourney_lab.fourier import (
+    MAX_SHAPE_VERTICES,
     Shape,
     _planted_pmf,
     chi2_exact,
@@ -49,15 +51,32 @@ def planted_prob(t: Tournament, gamma: float) -> float:
     return total / math.factorial(n)
 
 
-def chi2_mahonian(n: int, gamma: float) -> float:
-    """Closed-form chi2: E over two rankings of (1+4g^2)^agree (1-4g^2)^disagree, minus 1.
+def enumerated_pmf(n: int, gamma: float) -> np.ndarray:
+    """Oracle planted pmf: average the product edge law over all n! hidden rankings.
 
-    The Kendall distance of two uniform rankings has the Mahonian law, with
+    Tournament T is the integer whose bit e is set when edge e has sign +1.
+    """
+    m = math.comb(n, 2)
+    # P(T | pi) depends only on the number of edges agreeing with pi.
+    agree_prob = np.array([(0.5 + gamma) ** a * (0.5 - gamma) ** (m - a) for a in range(m + 1)])
+    tournaments = np.arange(2**m, dtype=np.int64)
+    pmf = np.zeros(2**m)
+    for code in ranking_codes(n):
+        pmf += agree_prob[m - np.bitwise_count(tournaments ^ code)]
+    return pmf / math.factorial(n)
+
+
+def chi2_mahonian(n: int, gamma: float) -> Fraction:
+    """Closed-form chi2, exact in rationals for the given float gamma.
+
+    E over two rankings of (1+4g^2)^agree (1-4g^2)^disagree, minus 1.  The
+    Kendall distance of two uniform rankings has the Mahonian law, with
     generating function prod_{j<=n} (1 + r + ... + r^(j-1)) / j.
     """
-    r = (1 - 4 * gamma**2) / (1 + 4 * gamma**2)
+    w = 4 * Fraction(gamma) ** 2
+    r = (1 - w) / (1 + w)
     mahonian = math.prod(sum(r**k for k in range(j)) / j for j in range(1, n + 1))
-    return (1 + 4 * gamma**2) ** math.comb(n, 2) * mahonian - 1
+    return (1 + w) ** math.comb(n, 2) * mahonian - 1
 
 
 def random_shape(gen, n, max_edges=5) -> Shape:
@@ -118,6 +137,13 @@ class TestPlantedExpectation:
         expected = 0 if k % 2 == 0 else (-1) ** ((k - 1) // 2) * tangent[k]
         path = Shape([(v, v + 1) for v in range(k - 1)])
         assert planted_sign_average(path) * math.factorial(k) == expected
+
+    def test_shape_on_max_vertices(self):
+        # A wedge on {0, 1, 2} and the path on 3..9 touch disjoint vertices, so the
+        # average factorizes: 1/3 for the wedge, -T_7 / 7! for the path.
+        s = Shape([(0, 1), (0, 2)] + [(v, v + 1) for v in range(3, 9)])
+        assert len(s.vertices()) == MAX_SHAPE_VERTICES
+        assert planted_sign_average(s) == Fraction(1, 3) * Fraction(-272, math.factorial(7))
 
     def test_edge_decay_bound(self):
         gen = RngStream(3).generator()
@@ -197,6 +223,23 @@ class TestDivergences:
             expected = chi2_mahonian(n, gamma)
             assert abs(chi2_exact(params) - expected) < 1e-10
             assert abs(chi2_fourier(params) - expected) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_chi2_to_relative_precision(self, n):
+        # At gamma = 0.01, 2^m * sum pmf^2 - 1 keeps only about nine correct digits.
+        for gamma in (0.01, 0.05, 0.2, 0.4):
+            params = ModelParams(n, gamma)
+            expected = chi2_mahonian(n, gamma)
+            for value in (chi2_exact(params), chi2_fourier(params)):
+                assert abs(Fraction(value) - expected) < Fraction(1, 10**12) * expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_pmf_matches_enumeration(self, n):
+        for gamma in (0.0, 0.05, 0.2, 0.5):
+            pmf, oracle = _planted_pmf(ModelParams(n, gamma)), enumerated_pmf(n, gamma)
+            positive = oracle > 0
+            assert np.allclose(pmf[positive], oracle[positive], rtol=1e-12, atol=0)
+            assert np.all(pmf[~positive] == 0.0)
 
     def test_chi2_n3_closed_form(self):
         # only the three wedges contribute: 3 * ((1/3)(2 gamma)^2)^2
