@@ -8,7 +8,10 @@ model is the planted one at ``gamma = 0``: every edge a fair coin flip.
 
 Both models read their coin flips from the generator in one private walker,
 ``_coin_flags``, that yields the flags of each block of whole rows, at most
-2^18 edges a block, in edge order.  Every sampler reads a draw in these
+2^18 edges a block, in edge order.  A biased coin reads one double per edge;
+a fair one (gamma = 0) reads 48 edges from the low bits of each double, and a
+block that ends inside a double carries its unread bits into the next block,
+so a draw never depends on the blocks.  Every sampler reads a draw in these
 blocks: the ``Tournament`` samplers join them, and the score samplers
 ``sample_null_scores`` and ``sample_planted_scores`` reduce them, so their
 scores equal ``sample_null(...).scores()`` and those of
@@ -133,6 +136,17 @@ def ranking_codes(k: int) -> np.ndarray:
     return codes
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int, checked to be an integer and not a bool.
+
+    The int cast keeps numpy integer arithmetic out of what follows: n(n - 1)/2
+    cannot overflow for an np.uint16 n, nor a mask raise for an np.int64 seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream: (seed, stream_index) fixes every draw.
@@ -145,6 +159,8 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+        object.__setattr__(self, "stream_index", _as_int(self.stream_index, "stream_index"))
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
 
@@ -163,13 +179,8 @@ def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
 
 
 def _check_size(n) -> int:
-    """``n`` as a Python int, checked to be an integer (not a bool) of at least 1.
-
-    The int cast also means n(n - 1)/2 cannot overflow, e.g. for an np.uint16 n.
-    """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    """``n`` as a Python int, checked to be an integer (not a bool) of at least 1."""
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     return n
@@ -309,6 +320,18 @@ class Ranking:
         self._ranks = arr
 
     @classmethod
+    def _adopt(cls, ranks: np.ndarray) -> "Ranking":
+        """Wrap ``ranks`` without the permutation check and make it read-only.
+
+        For builders only: ``ranks`` is a fresh int64 array that one has just
+        built as a permutation of 1..n.
+        """
+        ranks.setflags(write=False)
+        r = cls.__new__(cls)
+        r._ranks = ranks
+        return r
+
+    @classmethod
     def identity(cls, n: int) -> "Ranking":
         return cls(np.arange(1, _check_size(n) + 1))
 
@@ -384,18 +407,44 @@ def _row_blocks(n: int) -> tuple:
     return tuple(blocks)
 
 
+# A double u from generator.random is k / 2^53 for a uniform 53-bit integer k;
+# a fair coin reads this many of its low bits.
+_FAIR_BITS = 48
+
+
 def _coin_flags(n: int, gamma: float, gen: np.random.Generator):
     """Bool coin flags, each true with probability 1/2 + gamma: one array per row block.
 
     A flag says the edge agrees with the hidden ranking or, in the null model
-    (gamma = 0, no ranking), that i beats j.  The flags come in edge order;
+    (gamma = 0, no ranking), that i beats j.  The flags come in edge order, and
     generator.random fills consecutive slices of one buffer with the same
-    doubles as one call.
+    doubles as one call, so a draw does not depend on the block plan:
+    - gamma > 0: flag e is "double e < 1/2 + gamma".
+    - gamma = 0: flag e is bit e mod 48 of k = u * 2^53 for double u number
+      e // 48, the 48 low bits read as 6 little-endian bytes.  When a block
+      ends inside a double, the next block starts with that double's unread bits.
     """
     plan = _row_blocks(n)
-    uniforms = np.empty(max((hi - lo for *_, lo, hi in plan), default=0))
+    widest = max((hi - lo for *_, lo, hi in plan), default=0)
+    if gamma > 0:
+        uniforms = np.empty(widest)
+        for *_, lo, hi in plan:
+            yield gen.random(out=uniforms[: hi - lo]) < (0.5 + gamma)
+        return
+    # Slot 0 carries the last double of the block before; slots 1.. take the new ones.
+    doubles = np.empty(-(-widest // _FAIR_BITS) + 1)
+    words = np.empty(doubles.size, dtype="<u8")
+    low_bytes = words.view(np.uint8).reshape(-1, 8)[:, : _FAIR_BITS // 8]
     for *_, lo, hi in plan:
-        yield gen.random(out=uniforms[: hi - lo]) < (0.5 + gamma)
+        done, stop = -(-lo // _FAIR_BITS), -(-hi // _FAIR_BITS)  # doubles read before, after
+        new = slice(1, 1 + stop - done)
+        gen.random(out=doubles[new])
+        np.multiply(doubles[new], 2.0**53, out=words[new], casting="unsafe")
+        bits = np.unpackbits(low_bytes[: new.stop], axis=1, bitorder="little")
+        bits = bits.view(bool).reshape(-1)
+        first = lo - _FAIR_BITS * (done - 1)  # bit of lo; slot 0 when lo is inside a double
+        words[0] = words[new.stop - 1]
+        yield bits[first : first + hi - lo]
 
 
 def _win_scores(n: int, flags, ranks: np.ndarray | None = None) -> np.ndarray:
@@ -462,7 +511,7 @@ def sample_planted(
 
 def _uniform_ranking(n: int, gen: np.random.Generator) -> Ranking:
     """The hidden ranking every planted draw starts with: one permutation from ``gen``."""
-    return Ranking(gen.permutation(n) + 1)
+    return Ranking._adopt(gen.permutation(n) + 1)
 
 
 def sample_planted_uniform(

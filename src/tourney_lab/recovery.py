@@ -53,7 +53,7 @@ def ranking_by_wins(t: Tournament) -> Ranking:
     order = np.lexsort((-np.arange(n), -s))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
-    return Ranking(ranks)
+    return Ranking._adopt(ranks)
 
 
 def pessimistic_error_statistic(t: Tournament, hidden: Ranking) -> int:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tourney_lab import core
 from tourney_lab.core import (
     ModelParams,
     Ranking,
@@ -39,19 +40,36 @@ def random_ranking(n, gen) -> Ranking:
 # Every sampler, and Tournament.scores, walks blocks of whole rows with at most
 # 2^18 edges: 724 is the last size with a single block.
 BLOCK_SIZES = [2, 3, 724, 725, 726, 2000]
+# A fair coin reads 48 edges a double: n = 33 has 11 * 48 edges, its neighbours 16 and 33 over.
+FAIR_SIZES = [32, 33, 34]
 
 
 # Reference draws: each reads a whole draw from the generator in one call and
 # builds it with numpy alone, sharing no code with the samplers.
+def one_call_fair_flags(m, twin) -> np.ndarray:
+    """Flag e is bit e mod 48 of k = u * 2^53, for u the (e // 48)-th double."""
+    k = (twin.random(math.ceil(m / 48)) * 2.0**53).astype(np.uint64)
+    bits = (k[:, None] >> np.arange(48, dtype=np.uint64)) & 1
+    return bits.reshape(-1)[:m] == 1
+
+
 def one_call_null_signs(n, twin) -> np.ndarray:
-    return np.where(twin.random(edge_count(n)) < 0.5, 1, -1)
+    return np.where(one_call_fair_flags(edge_count(n), twin), 1, -1)
 
 
 def one_call_planted_signs(ranks, gamma, twin) -> np.ndarray:
-    """Edge e agrees with the ranking (sigma) iff the e-th uniform is below 1/2 + gamma."""
+    """Edge e agrees with the ranking (sigma) iff its coin says so.
+
+    The coin is "the e-th uniform is below 1/2 + gamma" for gamma > 0, and the fair flag
+    of one_call_fair_flags at gamma = 0.
+    """
     i, j = np.triu_indices(ranks.size, 1)
     sigma = np.where(ranks[i] < ranks[j], 1, -1).astype(np.int8)
-    return np.where(twin.random(i.size) < 0.5 + gamma, sigma, -sigma)
+    if gamma == 0:
+        agree = one_call_fair_flags(i.size, twin)
+    else:
+        agree = twin.random(i.size) < 0.5 + gamma
+    return np.where(agree, sigma, -sigma)
 
 
 def pair_sum_scores(n, signs) -> np.ndarray:
@@ -175,6 +193,14 @@ def test_every_entry_point_rejects_a_bad_size_alike(entry, n, message):
 
 
 class TestRanking:
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_uniform_ranking_equals_checked_construction(self, n):
+        gen, twin = RngStream(79, n).generator(), RngStream(79, n).generator()
+        pi = core._uniform_ranking(n, gen)
+        assert pi == Ranking(twin.permutation(n) + 1)
+        assert pi.ranks.dtype == np.int64 and not pi.ranks.flags.writeable
+        assert gen.random() == twin.random()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Ranking([1, 1, 3])
@@ -249,7 +275,7 @@ class TestSampleNull:
         total = sum(sample_null(2, gen).sign(0, 1) for _ in range(100_000))
         assert abs(total / 100_000) < 0.02
 
-    @pytest.mark.parametrize("n", [1] + BLOCK_SIZES)
+    @pytest.mark.parametrize("n", [1] + BLOCK_SIZES + FAIR_SIZES)
     def test_draw_is_one_random_call(self, n):
         gen, twin = RngStream(47, n).generator(), RngStream(47, n).generator()
         t = sample_null(n, gen)
@@ -317,7 +343,7 @@ class TestSamplePlanted:
         se = np.sqrt((1 - 0.6**2) / n_obs)
         assert abs(mean - 0.6) <= 3 * se
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30] + BLOCK_SIZES[2:])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30] + FAIR_SIZES + BLOCK_SIZES[2:])
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5])
     def test_draw_matches_scalar_construction(self, n, gamma):
         for seed in range(3):
@@ -428,14 +454,14 @@ class TestScoreSamplers:
         hidden, t = sample_planted_uniform(params, RngStream(8, 1))
         assert pi == hidden and np.array_equal(scores, t.scores())
 
-    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("n", BLOCK_SIZES + FAIR_SIZES)
     def test_null_scores_match_one_call_reference(self, n):
         gen, twin = RngStream(53, n).generator(), RngStream(53, n).generator()
         scores = sample_null_scores(n, gen)
         assert np.array_equal(scores, pair_sum_scores(n, one_call_null_signs(n, twin)))
         assert gen.integers(2**32) == twin.integers(2**32)
 
-    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("n", BLOCK_SIZES + FAIR_SIZES)
     @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.5])
     def test_planted_scores_match_one_call_reference(self, n, gamma):
         gen, twin = RngStream(59, n).generator(), RngStream(59, n).generator()
@@ -464,6 +490,45 @@ class TestScoreSamplers:
         assert peak < 16 * 2**20
         assert scores.sum() == 0 and np.all((scores - 9_999) % 2 == 0)
         assert pi.n == 10_000
+
+
+def every_draw(n) -> list:
+    """Each sampler's null and planted draws, their scores, and each stream's next double."""
+    gen = RngStream(71, n).generator()
+    t = sample_null(n, gen)
+    draws = [t.upper_signs(), t.scores(), gen.random()]
+    gen = RngStream(72, n).generator()
+    draws += [sample_null_scores(n, gen), gen.random()]
+    for gamma in (0.0, 0.1):
+        params = ModelParams(n, gamma)
+        gen = RngStream(73, n).generator()
+        pi, t = sample_planted_uniform(params, gen)
+        draws += [pi.ranks, t.upper_signs(), t.scores(), gen.random()]
+        gen = RngStream(74, n).generator()
+        draws += [*sample_planted_scores(params, gen), gen.random()]
+    return draws
+
+
+# Plans that cut a draw at many offsets within a double: one row a block (1
+# edge), blocks just under, at and just over one double's 48 edges, and many
+# blocks at a size that the default plan cuts in two.
+@pytest.mark.parametrize(
+    "n, block_edges", [(40, 1), (40, 47), (40, 48), (40, 49), (33, 48), (726, 4801)]
+)
+def test_draws_do_not_depend_on_the_block_plan(monkeypatch, n, block_edges):
+    expected = every_draw(n)
+    core._row_blocks.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_BLOCK_EDGES", block_edges)
+            blocks = len(core._row_blocks(n))
+            draws = every_draw(n)
+    finally:
+        core._row_blocks.cache_clear()
+    assert blocks > len(core._row_blocks(n))
+    assert len(draws) == len(expected)
+    for draw, reference in zip(draws, expected):
+        assert np.array_equal(draw, reference)
 
 
 class TestInducedTournament:
@@ -710,3 +775,21 @@ class TestRngStream:
     def test_negative_stream_rejected(self):
         with pytest.raises(ValueError):
             RngStream(1, -1)
+
+    @pytest.mark.parametrize(
+        "seed, stream_index", [(np.int64(2), np.uint8(3)), (np.int64(-1), np.int32(0))]
+    )
+    def test_numpy_integers_stored_as_int(self, seed, stream_index):
+        stream = RngStream(seed, stream_index)
+        assert type(stream.seed) is int and type(stream.stream_index) is int
+        assert stream == RngStream(int(seed), int(stream_index))
+        twin = RngStream(int(seed) % 2**64, int(stream_index))
+        assert stream.generator().random() == twin.generator().random()
+
+    @pytest.mark.parametrize(
+        "seed, stream_index",
+        [(1.5, 0), (2.0, 0), (True, 0), ("3", 0), (None, 0), (1, 1.5), (1, False), (1, "0")],
+    )
+    def test_non_integer_seed_or_stream_rejected(self, seed, stream_index):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(seed, stream_index)

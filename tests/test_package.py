@@ -83,10 +83,11 @@ def test_guard_flags_unused_imports_only():
     ]
 
 
-# The Generator methods that could read a draw's edges.  core reads every
-# edge through random in one function, the coin walker, so the null and
-# planted, Tournament and score samplers read one stream by construction.
-DRAW_METHODS = ("integers", "random")
+# The Generator methods that could read a draw's edges, the cheaper raw reads
+# (random_raw of the bit generator, bytes) included.  core reads every edge
+# through random in one function, the coin walker, so the null and planted,
+# Tournament and score samplers read one stream by construction.
+DRAW_METHODS = ("integers", "random", "random_raw", "bytes")
 
 
 def draw_callers(source: str) -> dict:
@@ -108,7 +109,8 @@ def draw_callers(source: str) -> dict:
 def test_core_reads_each_draw_method_from_one_function():
     core = Path(tourney_lab.__file__).parent / "core.py"
     callers = draw_callers(core.read_text())
-    assert {name: len(owners) for name, owners in callers.items()} == {"integers": 0, "random": 1}
+    counts = {name: len(owners) for name, owners in callers.items()}
+    assert counts == {"integers": 0, "random": 1, "random_raw": 0, "bytes": 0}
 
 
 def test_guard_flags_every_caller_of_a_draw_method():
@@ -118,9 +120,16 @@ def test_guard_flags_every_caller_of_a_draw_method():
         "    return gen.integers(0, 2, size=3), np.random.default_rng(0).permutation(3)\n"
         "class Sampler:\n"
         "    def two(self, gen):\n"
-        "        return gen.integers(0, 2), gen.random(4)\n"
+        "        return gen.integers(0, 2), gen.random(4), gen.bit_generator.random_raw(2)\n"
+        "def three(gen):\n"
+        "    return np.frombuffer(gen.bytes(8), dtype=np.uint8)\n"
     )
-    assert draw_callers(source) == {"integers": {"one", "two"}, "random": {"two"}}
+    assert draw_callers(source) == {
+        "integers": {"one", "two"},
+        "random": {"two"},
+        "random_raw": {"two"},
+        "bytes": {"three"},
+    }
 
 
 def top_level_names(source: str) -> set:

@@ -58,6 +58,13 @@ class TestRankingByWins:
             pi = Ranking(gen.permutation(n) + 1)
             assert ranking_by_wins(induced_tournament(pi)) == pi
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 200])
+    def test_equals_checked_construction(self, n):
+        for stream in range(3):
+            ranks = ranking_by_wins(sample_null(n, RngStream(64, stream))).ranks
+            assert ranks.dtype == np.int64 and not ranks.flags.writeable
+            assert Ranking(ranks).ranks.tolist() == ranks.tolist()
+
     def test_cyclic_tie_rule(self):
         # all scores tie; larger vertex index receives the better rank
         assert ranking_by_wins(cyclic3()).ranks.tolist() == [3, 2, 1]
