@@ -85,53 +85,42 @@ def _as_signs(flags: np.ndarray) -> np.ndarray:
     return signs
 
 
-# Each table cache keeps one size: a sweep asks for one k many times in a row,
-# and at k = 10 the table and the codes hold 35 MiB and 28 MiB.
-@functools.lru_cache(maxsize=1)
-def permutation_table(k: int) -> np.ndarray:
-    """Every permutation of 0..k-1 as a row (int8), rows in lexicographic order.
-
-    Level k is built from level k - 1: one block per leading value v, holding
-    the shorter rows with every entry >= v shifted up by one.  The shift keeps
-    order, so each block, and the whole table, stays lexicographic.
-    """
-    table = np.zeros((1, 0), dtype=np.int8)
-    for size in range(1, k + 1):
-        shorter, rows = table, table.shape[0]
-        table = np.empty((rows * size, size), dtype=np.int8)
-        for v in range(size):
-            block = table[v * rows : (v + 1) * rows]
-            block[:, 0] = v
-            np.add(shorter, shorter >= v, out=block[:, 1:])
-    table.setflags(write=False)
-    return table
-
-
 def tournament_code(signs: np.ndarray) -> int:
     """Integer whose bit e is set when edge e (row-major order of upper_mask) is positive."""
     return sum(1 << e for e in np.flatnonzero(np.asarray(signs) > 0).tolist())
 
 
+# A sweep asks for one k many times in a row, and at k = 10 the codes hold 28 MiB.
 @functools.lru_cache(maxsize=1)
 def ranking_codes(k: int) -> np.ndarray:
     """Read-only int64 tournament_code of every ranking of k items, built level by level.
 
-    Row r codes the rank array permutation_table(k)[r] + 1: rank arrays in lexicographic order.
-    Level k follows permutation_table's blocks.  Edges (0, j) come first in the edge order, so
-    block v is (codes of level k - 1) << (k - 1), or'ed with the row bits of a leading v: bit
-    j - 1 is set when the shorter row holds a value >= v at j - 1.  Those bits start all set
-    and lose, from one block to the next, the bit at the position of value v in the shorter row.
+    Row r codes the rank array row + 1, for row the r-th permutation of 0..k-1 in
+    lexicographic order.  The permutations of a level hold one block per leading value v:
+    the rows of the level below with every entry >= v shifted up by one, which keeps the
+    order.  Edges (0, j) come first in the edge order, so block v of the codes is (codes of
+    the level below) << (size - 1), or'ed with the row bits of a leading v: bit j - 1 is set
+    when the shorter row holds a value >= v at j - 1.  Those bits start all set and lose,
+    from one block to the next, the bit at the position of value v in the shorter row.
+    Levels up to k - 1 build their rows; level k only needs its codes.
     """
+    rows = np.zeros((1, 1), dtype=np.int8)  # the permutations of the level below
     codes = np.zeros(1, dtype=np.int64)
     for size in range(2, k + 1):
-        shorter, rows = permutation_table(size - 1), codes.size
+        count = codes.size
         high = codes << (size - 1)
-        rowbits = np.full(rows, (1 << (size - 1)) - 1, dtype=np.int64)
-        codes = np.empty(rows * size, dtype=np.int64)
+        rowbits = np.full(count, (1 << (size - 1)) - 1, dtype=np.int64)
+        codes = np.empty(count * size, dtype=np.int64)
+        longer = np.empty((count * size, size), dtype=np.int8) if size < k else None
         for v in range(size):
-            np.bitwise_or(high, rowbits, out=codes[v * rows : (v + 1) * rows])
+            block = slice(v * count, (v + 1) * count)
+            np.bitwise_or(high, rowbits, out=codes[block])
+            if longer is not None:
+                longer[block, 0] = v
+                np.add(rows, rows >= v, out=longer[block, 1:])
             if v < size - 1:
-                rowbits ^= np.left_shift(1, np.argmax(shorter == v, axis=1))
+                rowbits ^= np.left_shift(1, np.argmax(rows == v, axis=1))
+        rows = longer
     codes.setflags(write=False)
     return codes
 
@@ -214,12 +203,16 @@ class Tournament:
     __slots__ = ("_n", "_signs", "_scores")
 
     def __init__(self, n: int, signs: np.ndarray):
-        """Store a copy of ``signs``, which must be +-1; from_upper_signs checks them."""
+        """Store an int8 copy of ``signs``: n(n-1)/2 numbers, each +1 or -1."""
         n = _check_size(n)
         m = edge_count(n)
-        signs = np.array(signs, dtype=np.int8)
+        signs = np.asarray(signs)
         if signs.shape != (m,):
             raise ValueError(f"expected {m} signs, got shape {signs.shape}")
+        # Check before the int8 cast, which would truncate 1.5 to 1; refuse bools and strings.
+        if signs.dtype.kind not in "iuf" or not np.all(np.abs(signs) == 1):
+            raise ValueError("signs must be +1 or -1")
+        signs = signs.astype(np.int8)
         signs.setflags(write=False)
         self._n = n
         self._signs = signs
@@ -242,9 +235,6 @@ class Tournament:
     @classmethod
     def from_upper_signs(cls, n: int, signs: np.ndarray) -> "Tournament":
         """Build from the length n(n-1)/2 array of +-1 upper-triangle signs."""
-        signs = np.asarray(signs)
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("signs must be +1 or -1")
         return cls(n, signs)
 
     @property
@@ -333,11 +323,11 @@ class Ranking:
 
     @classmethod
     def identity(cls, n: int) -> "Ranking":
-        return cls(np.arange(1, _check_size(n) + 1))
+        return cls._adopt(np.arange(1, _check_size(n) + 1, dtype=np.int64))
 
     @classmethod
     def reversal(cls, n: int) -> "Ranking":
-        return cls(np.arange(_check_size(n), 0, -1))
+        return cls._adopt(np.arange(_check_size(n), 0, -1, dtype=np.int64))
 
     @classmethod
     def from_order(cls, order) -> "Ranking":
@@ -345,7 +335,7 @@ class Ranking:
         order = _as_permutation(order, 0, "order")
         ranks = np.empty(order.size, dtype=np.int64)
         ranks[order] = np.arange(1, order.size + 1)
-        return cls(ranks)
+        return cls._adopt(ranks)
 
     @property
     def n(self) -> int:
@@ -371,7 +361,7 @@ class Ranking:
         return _as_signs((r[:, None] < r[None, :])[upper_mask(r.size)])
 
     def reversed(self) -> "Ranking":
-        return Ranking(self.n + 1 - self._ranks)
+        return Ranking._adopt(self.n + 1 - self._ranks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ranking):

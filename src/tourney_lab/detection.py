@@ -15,7 +15,6 @@ which is about when the residual's square, not the residual, is negligible.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +63,7 @@ def wedge_from_scores(s: np.ndarray) -> int:
 
 def wedge_null_moments(n: int) -> tuple[float, float]:
     """(mean, second moment) of the wedge statistic under the null model."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = ModelParams(n, 0.0).n
     return 0.0, n * (n - 1) * (n - 2) / 2.0
 
 
@@ -88,18 +86,18 @@ def wedge_test(t: Tournament, params: ModelParams) -> DetectionVerdict:
     return DetectionVerdict(float(wedge_statistic(t)), threshold)
 
 
-# The float64 pass stops once the top Ritz pair's residual r, which bounds
-# the error of its Ritz value, is below this fraction of that value ...
-_RESIDUAL_TOL = 1e-14
-# ... or once r <= _VALUE_RESIDUAL_TOL * theta and r^2 <= _VALUE_TOL * theta *
-# (theta - theta2): the Ritz value's error is about r^2 / gap, so the value has
-# converged while the vector has not.
-_VALUE_RESIDUAL_TOL = 1e-6
-_VALUE_TOL = 1e-15
-# The float32 pass, which only supplies the float64 pass's start vector, stops
-# at this relative residual, or on a beta this small relative to the largest.
-_WARM_RESIDUAL_TOL = 3e-6
-_WARM_BREAKDOWN_TOL = 1e-6
+# The Lanczos passes of spectral_statistic, in order: (dtype, residual_tol,
+# value_residual_tol, value_tol, breakdown_tol).  A pass stops once the top Ritz
+# pair's residual r, which bounds the error of its Ritz value theta, is at most
+# residual_tol * theta, or once r <= value_residual_tol * theta and r^2 <=
+# value_tol * theta * (theta - theta2): the Ritz value's error is about r^2 / gap,
+# so the value has converged while the vector has not.  It also stops on a beta
+# at most breakdown_tol of the largest.  The float32 pass only supplies the
+# float64 pass's start vector, so it skips the value rule.
+_PASSES = (
+    (np.float32, 3e-6, 0.0, 0.0, 1e-6),
+    (np.float64, 1e-14, 1e-6, 1e-15, 1e-14),
+)
 # Lanczos steps between two convergence checks.
 _CHECK_EVERY = 4
 
@@ -127,27 +125,19 @@ def _top_ritz_pair(betas: list[float]) -> tuple[float, float, np.ndarray]:
     return float(s[0]), float(s[1]) if s.size > 1 else 0.0, y / math.sqrt(2.0)
 
 
-def _warm_converged(r: float, theta: float, theta2: float) -> bool:
-    return r <= _WARM_RESIDUAL_TOL * theta
-
-
-def _value_converged(r: float, theta: float, theta2: float) -> bool:
-    return r <= _RESIDUAL_TOL * theta or (
-        r <= _VALUE_RESIDUAL_TOL * theta and r * r <= _VALUE_TOL * theta * (theta - theta2)
-    )
-
-
 def _lanczos(
     mat: np.ndarray,
     v: np.ndarray,
-    converged: Callable[[float, float, float], bool],
+    residual_tol: float,
+    value_residual_tol: float,
+    value_tol: float,
     breakdown_tol: float,
 ) -> tuple[float, np.ndarray]:
     """Top eigenvalue of i*mat by Lanczos from the real unit vector v, in mat's dtype.
 
-    Returns the top Ritz value and the real part of its Ritz vector.  The loop
-    checks ``converged(residual, theta, theta2)`` every _CHECK_EVERY steps,
-    and stops on a beta at most breakdown_tol of the largest or after n steps.
+    Returns the top Ritz value and the real part of its Ritz vector, scaled to
+    unit norm.  The loop checks the stopping rules of _PASSES every
+    _CHECK_EVERY steps, and stops on breakdown or after n steps.
     """
     n = len(v)
     basis = np.empty((min(n, 2 * _CHECK_EVERY), n), dtype=mat.dtype)
@@ -166,13 +156,17 @@ def _lanczos(
         breakdown = beta <= breakdown_tol * beta_max
         if (k + 1) % _CHECK_EVERY == 0 or k + 1 == n or breakdown:
             theta, theta2, y = _top_ritz_pair(betas)
-            if breakdown or converged(beta * abs(y[-1]), theta, theta2):
+            r = beta * abs(y[-1])
+            if breakdown or r <= residual_tol * theta:
+                break
+            if r <= value_residual_tol * theta and r * r <= value_tol * theta * (theta - theta2):
                 break
         betas.append(beta)
         v = w / beta
     # Lanczos vector k of i*mat is i^k basis[k], so the even ones make the real part.
     signs = np.where(np.arange(0, k + 1, 2) % 4, -1.0, 1.0)
-    return theta, (signs * y[0::2]) @ basis[: k + 1 : 2]
+    x = (signs * y[0::2]) @ basis[: k + 1 : 2]
+    return theta, x / np.linalg.norm(x)
 
 
 def _fixed_start(n: int) -> np.ndarray:
@@ -200,12 +194,10 @@ def spectral_statistic(t: Tournament) -> float:
     after n steps, where the value is exact.
     """
     skew = t.to_matrix()
-    mat = skew.astype(np.float32)
-    start = _fixed_start(t.n).astype(np.float32)
-    _, warm = _lanczos(mat, start, _warm_converged, _WARM_BREAKDOWN_TOL)
-    del mat  # never hold the float32 and float64 matrices at once
-    warm /= np.linalg.norm(warm)
-    theta, _ = _lanczos(skew.astype(np.float64), warm, _value_converged, _RESIDUAL_TOL)
+    v = _fixed_start(t.n)
+    for dtype, *tols in _PASSES:
+        # Each pass's matrix lives for its call only, so two are never held at once.
+        theta, v = _lanczos(skew.astype(dtype), v.astype(dtype, copy=False), *tols)
     return theta
 
 

@@ -156,7 +156,7 @@ EXPERIMENTS = {
     "recover": Experiment(
         ("kendall_error", "footrule_error", "pessimistic_error", "expected_error_bound"),
         _recover,
-        max_gamma=0.25,  # the expected-error bound assumes gamma <= 1/4
+        max_gamma=recovery.MAX_BOUND_GAMMA,
         prints_tie_rule=True,
     ),
     "mle-compare": Experiment(

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 MAX_MLE_N = 9
+# expected_error_bound holds for gamma up to this value.
+MAX_BOUND_GAMMA = 0.25
 
 # Tie rule: equal scores rank the smaller-indexed vertex below (worse than)
 # the larger-indexed one.  Fixed for determinism.
@@ -74,10 +76,11 @@ def pessimistic_error_statistic(t: Tournament, hidden: Ranking) -> int:
 
 
 def _lexicographic_permutation(k: int, index: int) -> np.ndarray:
-    """Row ``index`` of permutation_table(k): read ``index`` in the factorial number system.
+    """Permutation number ``index`` of 0..k-1 in lexicographic order, as int8.
 
-    Its digit for size s (k down to 1) is the rank of the next leading value among the
-    values left, since each leading value heads a block of (s - 1)! rows.
+    ``index`` is read in the factorial number system: its digit for size s (k down
+    to 1) is the rank of the next leading value among the values left, since each
+    leading value heads a block of (s - 1)! rows.
     """
     left = list(range(k))
     row = []
@@ -110,11 +113,11 @@ def expected_error_bound(params: ModelParams) -> float:
     """Expected Kendall error bound for Ranking By Wins.
 
     C(n,2) * Phi(-2*gamma*sqrt(n) / sqrt(2*(1-4*gamma^2))), valid for
-    gamma <= 1/4.
+    gamma <= MAX_BOUND_GAMMA = 1/4.
     """
     n, gamma = params.n, params.gamma
-    if gamma > 0.25:
-        raise ValueError("bound assumes gamma <= 1/4")
+    if gamma > MAX_BOUND_GAMMA:
+        raise ValueError(f"bound assumes gamma <= {MAX_BOUND_GAMMA}")
     arg = -2.0 * gamma * math.sqrt(n) / math.sqrt(2.0 * (1.0 - 4.0 * gamma**2))
     return math.comb(n, 2) * 0.5 * math.erfc(-arg / math.sqrt(2.0))
 

@@ -9,10 +9,11 @@ eigenvectors, so its top eigenvalues grow linearly in n.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .core import upper_mask
+from .core import ModelParams, upper_mask
 
 __all__ = [
     "build_A",
@@ -23,9 +24,7 @@ __all__ = [
 
 def build_A(n: int) -> np.ndarray:
     """Hermitian matrix with +i above the diagonal, -i below, 0 on it."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    upper = upper_mask(n)
+    upper = upper_mask(ModelParams(n, 0.0).n)
     return 1j * upper - 1j * upper.T
 
 
@@ -34,8 +33,11 @@ def closed_form_eigenvalue(n: int, i: int) -> float:
 
     Indices past the middle are evaluated through the mirror identity
     lambda_{n-i+1} = -lambda_i, which keeps the antisymmetry exact in
-    floating point.
+    floating point.  ``n`` and ``i`` are integers, bools refused.
     """
+    n = ModelParams(n, 0.0).n
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ValueError(f"i must be an integer, got {i!r}")
     if not 1 <= i <= n:
         raise IndexError(f"eigenvalue index {i} out of range 1..{n}")
     mirror = n - i + 1

@@ -15,7 +15,6 @@ from tourney_lab.core import (
     edge_count,
     induced_tournament,
     kendall_tau,
-    permutation_table,
     ranking_codes,
     sample_null,
     sample_null_scores,
@@ -26,6 +25,8 @@ from tourney_lab.core import (
     tournament_code,
     upper_mask,
 )
+from tourney_lab.detection import wedge_null_moments
+from tourney_lab.spectral import build_A, closed_form_eigenpair, closed_form_eigenvalue
 
 
 def cyclic3() -> Tournament:
@@ -109,10 +110,16 @@ class TestTournament:
         assert np.array_equal(mat, -mat.T)
 
     def test_bad_signs_rejected(self):
-        with pytest.raises(ValueError):
-            Tournament.from_upper_signs(3, np.array([1, 0, 1]))
-        with pytest.raises(ValueError):
-            Tournament.from_upper_signs(3, np.array([1, 1]))
+        # Both public constructors check their signs before the int8 cast.
+        bad = [[1.5, 1, 1], [0, 1, 1], [1, -7, 1], [True, True, False], ["1", "1", "1"]]
+        for build in (Tournament, Tournament.from_upper_signs):
+            for signs in bad + [np.array([1, 0, 1])]:
+                with pytest.raises(ValueError, match="signs must be"):
+                    build(3, signs)
+            with pytest.raises(ValueError, match="expected 3 signs"):
+                build(3, np.array([1, 1]))
+            t = build(3, [1.0, -1.0, 1.0])
+            assert t == cyclic3() and t.upper_signs().dtype == np.int8
 
     # Each sign list holds n(n - 1)/2 signs, so only the type of n is wrong.
     @pytest.mark.parametrize("n, signs", [(2.5, [1]), (3.0, [1] * 3), (True, []), ("3", [1] * 3)])
@@ -173,6 +180,10 @@ SIZE_ENTRY_POINTS = {
     "sample_null_scores": lambda n: sample_null_scores(n, RngStream(0)),
     "Ranking.identity": Ranking.identity,
     "Ranking.reversal": Ranking.reversal,
+    "wedge_null_moments": wedge_null_moments,
+    "build_A": build_A,
+    "closed_form_eigenvalue": lambda n: closed_form_eigenvalue(n, 1),
+    "closed_form_eigenpair": lambda n: closed_form_eigenpair(n, 1),
 }
 
 
@@ -242,6 +253,22 @@ class TestRanking:
     def test_reversed(self):
         pi = Ranking([2, 1, 3])
         assert pi.reversed() == Ranking([2, 3, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_builders_equal_checked_construction(self, n):
+        # The builders skip the permutation check; their ranks must still be the checked ones.
+        order = RngStream(80, n).generator().permutation(n)
+        built = {
+            "from_order": (Ranking.from_order(order), np.argsort(order) + 1),
+            "identity": (Ranking.identity(n), np.arange(1, n + 1)),
+            "reversal": (Ranking.reversal(n), np.arange(n, 0, -1)),
+            "reversed": (Ranking.from_order(order).reversed(), n - np.argsort(order)),
+        }
+        for name, (pi, ranks) in built.items():
+            checked = Ranking(ranks.tolist())
+            assert pi == checked, name
+            assert pi.ranks.dtype == checked.ranks.dtype == np.int64, name
+            assert not pi.ranks.flags.writeable and not checked.ranks.flags.writeable, name
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_identity_and_reversal_reject_non_integer_n(self, n):
@@ -584,35 +611,19 @@ class TestEdgeLayout:
             signs[:] = 1
 
 
-class TestPermutationTable:
-    @pytest.mark.parametrize("k", range(8))
-    def test_rows_are_every_permutation_in_lexicographic_order(self, k):
-        table = permutation_table(k)
-        expected = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
-        assert table.dtype == np.int8 and not table.flags.writeable
-        assert table.shape == expected.shape == (math.factorial(k), k)
-        assert np.array_equal(table, expected)
-
-    def test_built_without_materializing_tuples(self):
-        # A list of k! Python tuples peaks at about 19x the table's bytes at k = 8.
-        permutation_table.cache_clear()
-        tracemalloc.start()
-        try:
-            table = permutation_table(8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * table.nbytes
-
-
 def bit_code(signs) -> int:
     """Tournament code by definition: bit e is set when edge e has sign +1."""
     return sum(1 << e for e, sign in enumerate(signs) if sign > 0)
 
 
+def lexicographic_permutations(k: int) -> np.ndarray:
+    """Every permutation of 0..k-1 as an int8 row, in lexicographic order, by itertools."""
+    return np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+
+
 def codes_one_edge_at_a_time(k: int) -> np.ndarray:
     """Oracle ranking_codes: bit e of row r is set when edge e = (i, j) has row[i] < row[j]."""
-    table = permutation_table(k)
+    table = lexicographic_permutations(k)
     codes = np.zeros(table.shape[0], dtype=np.int64)
     for bit, (i, j) in enumerate(zip(*np.nonzero(upper_mask(k)))):
         np.bitwise_or(codes, 1 << bit, out=codes, where=table[:, i] < table[:, j])
@@ -636,13 +647,12 @@ class TestRankingCodes:
         codes = ranking_codes(k)
         assert codes.dtype == np.int64 and not codes.flags.writeable
         assert codes.shape == (math.factorial(k),)
-        for row, code in zip(permutation_table(k), codes.tolist()):
+        for row, code in zip(lexicographic_permutations(k), codes.tolist()):
             signs = induced_tournament(Ranking(row + 1)).upper_signs()
             assert code == bit_code(signs.tolist()) == tournament_code(signs)
 
     def test_built_one_edge_at_a_time(self):
         # An n! x n x n pairwise-order array peaks at about 50x the codes' bytes at k = 9.
-        permutation_table(9)
         ranking_codes.cache_clear()
         tracemalloc.start()
         try:
@@ -653,8 +663,7 @@ class TestRankingCodes:
         assert peak < 3 * codes.nbytes
 
     def test_caches_keep_one_size(self):
-        # Unbounded caches would keep the k = 9 table and codes (6.2 MiB) once k = 3 is built.
-        permutation_table.cache_clear()
+        # An unbounded cache would keep the k = 9 codes (2.8 MiB) once k = 3 is built.
         ranking_codes.cache_clear()
         tracemalloc.start()
         try:
@@ -664,7 +673,7 @@ class TestRankingCodes:
         finally:
             tracemalloc.stop()
         assert current < 2**20
-        assert permutation_table.cache_info().currsize == ranking_codes.cache_info().currsize == 1
+        assert ranking_codes.cache_info().currsize == 1
 
 
 class TestPermutationMetrics:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from tourney_lab.core import (
     upper_mask,
 )
 from tourney_lab.detection import (
-    _RESIDUAL_TOL,
+    _PASSES,
     DetectionVerdict,
     _fixed_start,
     _lanczos,
-    _value_converged,
     spectral_statistic,
     spectral_test,
     wedge_from_scores,
@@ -251,8 +251,22 @@ class TestSpectralStatistic:
         draws = [sample_null(n, RngStream(17, n)), sample_planted_uniform(params, RngStream(18, n))[1]]
         for t in draws:
             mat = t.to_matrix().astype(np.float64)
-            theta, _ = _lanczos(mat, _fixed_start(n), _value_converged, _RESIDUAL_TOL)
+            theta, _ = _lanczos(mat, _fixed_start(n), *_PASSES[-1][1:])
             assert abs(spectral_statistic(t) - theta) <= 1e-13 * theta
+
+    def test_never_holds_two_matrices(self):
+        # The int8 and float64 matrices make 9 n^2 bytes; adding the float32 one would make 13.
+        n = 1200
+        t = sample_null(n, RngStream(19))
+        first = spectral_statistic(t)
+        tracemalloc.start()
+        try:
+            again = spectral_statistic(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 11 * n * n
 
     def test_value_depends_on_tournament_only(self):
         draws = [

@@ -83,6 +83,70 @@ def test_guard_flags_unused_imports_only():
     ]
 
 
+def unbounded_caches(source: str, name: str = "<source>") -> list:
+    """functools caches that may keep more than one result: every ``cache``, and
+    every ``lru_cache`` that is not called with maxsize the literal 1.
+    """
+    tree = ast.parse(source, filename=name)
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            label = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            label = imported.get(node.id)
+        else:
+            continue
+        if label not in ("cache", "lru_cache"):
+            continue
+        call = calls.get(id(node))
+        args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args if call else []
+        if label == "cache" or not args or getattr(args[0], "value", None) != 1:
+            hit = f"{name}:{node.lineno}: {label} may keep more than one result"
+            hits.append((node.lineno, node.col_offset, hit))
+    return [hit for *_, hit in sorted(hits)]
+
+
+def test_table_caches_keep_one_size():
+    assert any("functools.lru_cache(maxsize=1)" in path.read_text() for path in SOURCES)
+    hits = [hit for path in SOURCES for hit in unbounded_caches(path.read_text(), path.name)]
+    assert hits == []
+
+
+def test_guard_flags_caches_of_more_than_one_result():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache as memo\n"
+        "@functools.lru_cache(maxsize=1)\n"
+        "def a(k): return k\n"
+        "@functools.lru_cache(1)\n"
+        "def b(k): return k\n"
+        "@functools.lru_cache\n"
+        "def c(k): return k\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def d(k): return k\n"
+        "@memo(maxsize=2)\n"
+        "def e(k): return k\n"
+        "@cache\n"
+        "def f(k): return k\n"
+        "g = memo(maxsize=2)(len), functools.cache(len)\n"
+    )
+    assert unbounded_caches(source) == [
+        "<source>:7: lru_cache may keep more than one result",
+        "<source>:9: lru_cache may keep more than one result",
+        "<source>:11: lru_cache may keep more than one result",
+        "<source>:13: cache may keep more than one result",
+        "<source>:15: lru_cache may keep more than one result",
+        "<source>:15: cache may keep more than one result",
+    ]
+
+
 # The Generator methods that could read a draw's edges, the cheaper raw reads
 # (random_raw of the bit generator, bytes) included.  core reads every edge
 # through random in one function, the coin walker, so the null and planted,

@@ -15,14 +15,15 @@ from tourney_lab.core import (
     alignment,
     induced_tournament,
     kendall_tau,
-    permutation_table,
     ranking_codes,
     sample_null,
     sample_planted,
     sample_planted_uniform,
     upper_mask,
 )
+from tourney_lab.experiments import EXPERIMENTS
 from tourney_lab.recovery import (
+    MAX_BOUND_GAMMA,
     _lexicographic_permutation,
     brute_force_mle,
     concavity_check,
@@ -251,14 +252,14 @@ class TestBruteForceMle:
 
     @pytest.mark.parametrize("k", range(8))
     def test_unranking_reads_permutation_table(self, k):
-        table = permutation_table(k)
-        for r in range(table.shape[0]):
-            assert np.array_equal(_lexicographic_permutation(k, r), table[r])
+        # Oracle: itertools.permutations lists the permutations in lexicographic order.
+        for r, row in enumerate(itertools.permutations(range(k))):
+            perm = _lexicographic_permutation(k, r)
+            assert perm.dtype == np.int8 and perm.tolist() == list(row)
 
     def test_cold_call_builds_no_full_permutation_table(self):
         # The n! x n table of all rankings would add 3.1 MiB at n = 9 to the codes' 2.8 MiB.
         t = sample_null(9, RngStream(71))
-        permutation_table.cache_clear()
         ranking_codes.cache_clear()
         tracemalloc.start()
         try:
@@ -289,6 +290,12 @@ class TestExpectedErrorBound:
     def test_gamma_guard(self):
         with pytest.raises(ValueError):
             expected_error_bound(ModelParams(10, 0.3))
+
+    def test_guard_is_the_recover_sweep_limit(self):
+        assert EXPERIMENTS["recover"].max_gamma == MAX_BOUND_GAMMA == 0.25
+        assert expected_error_bound(ModelParams(10, MAX_BOUND_GAMMA)) > 0
+        with pytest.raises(ValueError):
+            expected_error_bound(ModelParams(10, math.nextafter(MAX_BOUND_GAMMA, 1.0)))
 
 
 class TestConcavityCheck:

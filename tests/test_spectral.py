@@ -60,6 +60,17 @@ class TestClosedFormEigenpairs:
         with pytest.raises(IndexError):
             closed_form_eigenpair(4, 5)
 
+    @pytest.mark.parametrize("i", [True, 1.0, 2.5, "1"])
+    def test_non_integer_index_rejected(self, i):
+        for entry in (closed_form_eigenvalue, closed_form_eigenpair):
+            with pytest.raises(ValueError) as raised:
+                entry(4, i)
+            assert str(raised.value) == f"i must be an integer, got {i!r}"
+
+    def test_integral_index_accepted(self):
+        assert closed_form_eigenvalue(4, np.int64(4)) == closed_form_eigenvalue(4, 4)
+        assert closed_form_eigenvalue(np.int16(4), 1) == closed_form_eigenvalue(4, 1)
+
     def test_residuals_n64(self):
         n = 64
         a = build_A(n)
