@@ -96,7 +96,8 @@ def ranking_codes(k: int) -> np.ndarray:
     """Read-only int64 tournament_code of every ranking of k items, built level by level.
 
     Row r codes the rank array row + 1, for row the r-th permutation of 0..k-1 in
-    lexicographic order.  The permutations of a level hold one block per leading value v:
+    lexicographic order; brute_force_mle reports the first maximizing row, so its
+    tie-break is this order.  The permutations of a level hold one block per leading value v:
     the rows of the level below with every entry >= v shifted up by one, which keeps the
     order.  Edges (0, j) come first in the edge order, so block v of the codes is (codes of
     the level below) << (size - 1), or'ed with the row bits of a leading v: bit j - 1 is set
@@ -188,8 +189,10 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_size(self.n))
-        if not 0.0 <= self.gamma <= 0.5:
-            raise ValueError("gamma must lie in [0, 1/2]")
+        # Check the kind before comparing: refuse bools, strings, None and arrays.
+        gamma = np.asarray(self.gamma)
+        if gamma.ndim or gamma.dtype.kind not in "iuf" or not 0.0 <= self.gamma <= 0.5:
+            raise ValueError(f"gamma must be a number in [0, 1/2], got {self.gamma!r}")
 
 
 class Tournament:
@@ -293,8 +296,9 @@ def _as_permutation(values, first: int, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
-    # Check before the int cast, which would truncate 1.5 to 1.
-    if not np.array_equal(np.sort(arr), np.arange(first, first + arr.size)):
+    # Check before the int cast, which would truncate 1.5 to 1; refuse bools and strings.
+    span = np.arange(first, first + arr.size)
+    if arr.dtype.kind not in "iuf" or not np.array_equal(np.sort(arr), span):
         raise ValueError(f"{name} must be a permutation of {first}..{first + arr.size - 1}")
     return arr.astype(np.int64)
 

@@ -228,7 +228,7 @@ class SweepConfig:
 
     def gammas_for(self, n: int) -> tuple:
         if isinstance(self.gamma_spec, tuple):
-            return tuple(float(g) for g in self.gamma_spec)
+            return tuple(float(g) + 0.0 for g in self.gamma_spec)  # -0.0 + 0.0 is 0.0
         return (float(self.gamma_spec["c"]) * float(n) ** -float(self.gamma_spec["alpha"]),)
 
     def validate(self) -> None:
@@ -242,8 +242,9 @@ class SweepConfig:
             raise ConfigError("threads must be a positive integer")
         if not _is_int(self.seed):
             raise ConfigError("seed must be an integer")
-        if not isinstance(self.output_path, str) or "\0" in self.output_path:
-            raise ConfigError("output_path must be a string with no NUL character")
+        path = self.output_path
+        if not isinstance(path, str) or not path or "\0" in path:
+            raise ConfigError("output_path must be a non-empty string with no NUL character")
         if not isinstance(self.n_values, tuple) or not self.n_values:
             raise ConfigError("n_values must be a non-empty list")
         for n in self.n_values:

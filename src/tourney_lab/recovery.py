@@ -75,35 +75,23 @@ def pessimistic_error_statistic(t: Tournament, hidden: Ranking) -> int:
     return int(np.count_nonzero(bad))
 
 
-def _lexicographic_permutation(k: int, index: int) -> np.ndarray:
-    """Permutation number ``index`` of 0..k-1 in lexicographic order, as int8.
-
-    ``index`` is read in the factorial number system: its digit for size s (k down
-    to 1) is the rank of the next leading value among the values left, since each
-    leading value heads a block of (s - 1)! rows.
-    """
-    left = list(range(k))
-    row = []
-    for size in range(k, 0, -1):
-        digit, index = divmod(index, math.factorial(size - 1))
-        row.append(left.pop(digit))
-    return np.array(row, dtype=np.int8)
-
-
 def brute_force_mle(t: Tournament) -> MleResult:
     """Maximize alignment over all rankings by exhaustive enumeration.
 
-    Rank arrays are scanned in lexicographic order, so the reported optimum
-    is the lexicographically smallest maximizer.  Guarded to n <= 9.
+    The reported optimum is the first maximizer in the row order of
+    ``ranking_codes``.  Guarded to n <= 9.
     """
     n = t.n
     if n > MAX_MLE_N:
         raise ValueError(f"brute_force_mle enumerates n! rankings; n={n} exceeds {MAX_MLE_N}")
     # A ranking's alignment is m - 2 * (edges it disagrees with); argmin takes the first row.
-    disagree = np.bitwise_count(ranking_codes(n) ^ tournament_code(t.upper_signs()))
+    codes = ranking_codes(n)
+    disagree = np.bitwise_count(codes ^ tournament_code(t.upper_signs()))
     best_idx = int(np.argmin(disagree))
+    # The best code's transitive tournament has distinct scores, so RBW returns its ranking.
+    signs = 2 * ((codes[best_idx] >> np.arange(t.num_edges)) & 1) - 1
     return MleResult(
-        best_ranking=Ranking(_lexicographic_permutation(n, best_idx) + 1),
+        best_ranking=ranking_by_wins(Tournament(n, signs)),
         best_alignment=t.num_edges - 2 * int(disagree[best_idx]),
         optima_count=int(np.count_nonzero(disagree == disagree[best_idx])),
     )

@@ -13,7 +13,7 @@ import numbers
 
 import numpy as np
 
-from .core import ModelParams, upper_mask
+from .core import ModelParams, Ranking, induced_tournament
 
 __all__ = [
     "build_A",
@@ -23,9 +23,8 @@ __all__ = [
 
 
 def build_A(n: int) -> np.ndarray:
-    """Hermitian matrix with +i above the diagonal, -i below, 0 on it."""
-    upper = upper_mask(ModelParams(n, 0.0).n)
-    return 1j * upper - 1j * upper.T
+    """i times the identity ranking's transitive tournament: +i above the diagonal, -i below."""
+    return 1j * induced_tournament(Ranking.identity(n)).to_matrix()
 
 
 def closed_form_eigenvalue(n: int, i: int) -> float:

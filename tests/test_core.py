@@ -237,6 +237,22 @@ class TestRanking:
             Ranking.from_order([0.5, 1.5])
         assert Ranking.from_order([1.0, 0.0]) == Ranking([2, 1])
 
+    @pytest.mark.parametrize(
+        "build, values",
+        [
+            (Ranking, [True]),
+            (Ranking, ["1", "2"]),
+            (Ranking, [1, None]),
+            (Ranking, [1 + 0j]),
+            (Ranking.from_order, [True, False]),
+            (Ranking.from_order, ["0"]),
+        ],
+    )
+    def test_non_numbers_rejected(self, build, values):
+        # Bools, strings, None and complex numbers are refused before any comparison.
+        with pytest.raises(ValueError):
+            build(values)
+
     def test_pairwise_sign(self):
         pi = Ranking([2, 1, 3])
         assert pi.pairwise_sign(0, 1) == -1
@@ -402,6 +418,16 @@ class TestSamplePlanted:
     def test_params_reject_non_integer_n(self, n):
         with pytest.raises(ValueError):
             ModelParams(n, 0.1)
+
+    @pytest.mark.parametrize("gamma", [False, True, "0.1", None, [0.1], float("nan")])
+    def test_params_reject_non_number_gamma(self, gamma):
+        with pytest.raises(ValueError) as raised:
+            ModelParams(5, gamma)
+        assert str(raised.value) == f"gamma must be a number in [0, 1/2], got {gamma!r}"
+
+    @pytest.mark.parametrize("gamma", [0, 0.5, np.float32(0.25), np.int64(0)])
+    def test_params_accept_number_gamma(self, gamma):
+        assert ModelParams(5, gamma).gamma == gamma
 
     @pytest.mark.parametrize("n", [np.int64(5), np.uint16(5)])
     def test_params_accept_integral_n(self, n):

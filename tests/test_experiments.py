@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -41,6 +42,30 @@ def make_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     return SweepConfig.from_dict(raw)
+
+
+def readme_experiments() -> dict:
+    """Experiment name -> its statistics, read off the README's experiments table.
+
+    A statistic is a backquoted name outside the parentheses of its cell.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = re.search(r"^\| experiment +\| statistics \|\n\|[- |]+\|\n", readme, re.M)
+    listed = {}
+    for line in readme[header.end() :].split("\n\n", 1)[0].splitlines():
+        name_cell, statistics_cell = line.strip("| ").split(" | ")
+        depth, outside = 0, []
+        for ch in statistics_cell:
+            depth += ch == "("
+            outside.append(ch if depth == 0 else "")
+            depth -= ch == ")"
+        listed[name_cell.strip(" `")] = tuple(re.findall(r"`([^`]+)`", "".join(outside)))
+    return listed
+
+
+def test_readme_lists_every_experiment_and_its_statistics():
+    expected = {name: spec.statistics for name, spec in experiments.EXPERIMENTS.items()}
+    assert list(readme_experiments().items()) == list(expected.items())
 
 
 class TestConfigValidation:
@@ -550,6 +575,29 @@ class TestCli:
         config = self.write_config(tmp_path, experiment=experiment, gamma_spec=[0.1])
         assert main(["run", "--config", str(config)]) == 0
         assert ("tie rule:" in capsys.readouterr().out) == prints
+
+    @pytest.mark.parametrize("route", ["config", "--out"])
+    def test_empty_output_path_exits_2_before_any_trial(self, tmp_path, monkeypatch, route):
+        def trial_values(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_trial_values", trial_values)
+        if route == "config":
+            args = ["run", "--config", str(self.write_config(tmp_path, output_path=""))]
+        else:
+            args = ["run", "--config", str(self.write_config(tmp_path)), "--out", ""]
+        assert main(args) == 2
+
+    def test_negative_zero_gamma_writes_zero(self, tmp_path):
+        written = []
+        for name, gamma in (("plus", 0.0), ("minus", -0.0)):
+            config = self.write_config(tmp_path, gamma_spec=[gamma, 0.1])
+            rows, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}-summary.csv"
+            assert main(["run", "--config", str(config), "--out", str(rows)]) == 0
+            assert main(["summarize", "--in", str(rows), "--out", str(summary)]) == 0
+            written.append((rows.read_bytes(), summary.read_bytes()))
+        assert written[0] == written[1]
+        assert b"detect-wedge,10,0," in written[1][0] and b",-0," not in written[1][0]
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         config = self.write_config(tmp_path, output_path="/proc/nope/rows.csv")

@@ -24,7 +24,6 @@ from tourney_lab.core import (
 from tourney_lab.experiments import EXPERIMENTS
 from tourney_lab.recovery import (
     MAX_BOUND_GAMMA,
-    _lexicographic_permutation,
     brute_force_mle,
     concavity_check,
     expected_error_bound,
@@ -250,12 +249,23 @@ class TestBruteForceMle:
         with pytest.raises(ValueError):
             brute_force_mle(sample_null(10, RngStream(0)))
 
-    @pytest.mark.parametrize("k", range(8))
-    def test_unranking_reads_permutation_table(self, k):
-        # Oracle: itertools.permutations lists the permutations in lexicographic order.
-        for r, row in enumerate(itertools.permutations(range(k))):
-            perm = _lexicographic_permutation(k, r)
-            assert perm.dtype == np.int8 and perm.tolist() == list(row)
+    def test_every_transitive_tournament_returns_its_ranking(self):
+        for ranks in itertools.permutations(range(1, 6)):
+            pi = Ranking(ranks)
+            result = brute_force_mle(induced_tournament(pi))
+            assert result.best_ranking == pi
+            assert (result.best_alignment, result.optima_count) == (10, 1)
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_planted_draws_attain_the_reported_alignment(self, n):
+        # Past the itertools oracle's reach; gamma = 0.02 leaves ties among the optima.
+        counts = []
+        for k, gamma in enumerate([0.02, 0.02, 0.1, 0.3]):
+            _, t = sample_planted_uniform(ModelParams(n, gamma), RngStream(72, 10 * n + k))
+            result = brute_force_mle(t)
+            assert alignment(result.best_ranking, t) == result.best_alignment
+            counts.append(result.optima_count)
+        assert max(counts) > 1
 
     def test_cold_call_builds_no_full_permutation_table(self):
         # The n! x n table of all rankings would add 3.1 MiB at n = 9 to the codes' 2.8 MiB.

@@ -28,6 +28,13 @@ class TestBuildA:
         assert a[0, 1] == 1j and a[1, 0] == -1j
         assert a[0, 0] == 0 and a[1, 1] == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_equals_triu_oracle(self, n):
+        upper = np.triu(np.ones((n, n)), k=1)
+        a = build_A(n)
+        assert a.dtype == np.complex128
+        assert np.array_equal(a, 1j * upper - 1j * upper.T)
+
     def test_hermitian(self):
         a = build_A(7)
         assert np.array_equal(a, a.conj().T)
