@@ -19,6 +19,10 @@ scores equal ``sample_null(...).scores()`` and those of
 n.  One reducer, ``_win_scores``, turns the blocks into win scores, for the
 samplers and for ``Tournament.scores`` alike, without the skew-symmetric
 matrix.
+
+Numbers from outside pass one rule per kind, bools refused: ``as_int`` (and
+``check_size``) for an integer, ``as_reals`` for an array.  ``Tournament(n, signs)``
+and ``Ranking(ranks)`` check their input; ``_adopt`` wraps an array just built.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def ranking_codes(k: int) -> np.ndarray:
     return codes
 
 
-def _as_int(value, name: str) -> int:
+def as_int(value, name: str) -> int:
     """``value`` as a Python int, checked to be an integer and not a bool.
 
     The int cast keeps numpy integer arithmetic out of what follows: n(n - 1)/2
@@ -135,6 +139,21 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_reals(values, name: str) -> np.ndarray:
+    """``values`` as an ndarray of real numbers: dtype kind i, u or f, and no bool.
+
+    An ndarray is returned as it is.  Other input is checked as Python objects
+    first, since the cast would turn [2, True] into [2, 1].
+    """
+    if not isinstance(values, np.ndarray):
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+            raise ValueError(f"{name} must be real, got a bool")
+        values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, got dtype {values.dtype}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -149,8 +168,8 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        object.__setattr__(self, "stream_index", _as_int(self.stream_index, "stream_index"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "stream_index", as_int(self.stream_index, "stream_index"))
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
 
@@ -168,9 +187,9 @@ def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def _check_size(n) -> int:
+def check_size(n) -> int:
     """``n`` as a Python int, checked to be an integer (not a bool) of at least 1."""
-    n = _as_int(n, "n")
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     return n
@@ -188,7 +207,7 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_size(self.n))
+        object.__setattr__(self, "n", check_size(self.n))
         # Check the kind before comparing: refuse bools, strings, None and arrays.
         gamma = np.asarray(self.gamma)
         if gamma.ndim or gamma.dtype.kind not in "iuf" or not 0.0 <= self.gamma <= 0.5:
@@ -207,13 +226,13 @@ class Tournament:
 
     def __init__(self, n: int, signs: np.ndarray):
         """Store an int8 copy of ``signs``: n(n-1)/2 numbers, each +1 or -1."""
-        n = _check_size(n)
+        n = check_size(n)
         m = edge_count(n)
-        signs = np.asarray(signs)
+        signs = as_reals(signs, "signs")
         if signs.shape != (m,):
             raise ValueError(f"expected {m} signs, got shape {signs.shape}")
-        # Check before the int8 cast, which would truncate 1.5 to 1; refuse bools and strings.
-        if signs.dtype.kind not in "iuf" or not np.all(np.abs(signs) == 1):
+        # Check before the int8 cast, which would truncate 1.5 to 1.
+        if not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +1 or -1")
         signs = signs.astype(np.int8)
         signs.setflags(write=False)
@@ -291,25 +310,19 @@ class Tournament:
         return f"Tournament(n={self._n})"
 
 
-def _as_permutation(values, first: int, name: str) -> np.ndarray:
-    """``values`` as int64, checked to be a permutation of first..first + n - 1."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name} must be a non-empty 1-d sequence")
-    # Check before the int cast, which would truncate 1.5 to 1; refuse bools and strings.
-    span = np.arange(first, first + arr.size)
-    if arr.dtype.kind not in "iuf" or not np.array_equal(np.sort(arr), span):
-        raise ValueError(f"{name} must be a permutation of {first}..{first + arr.size - 1}")
-    return arr.astype(np.int64)
-
-
 class Ranking:
     """Permutation of n items; ranks[i] is the rank of item i, 1 = best."""
 
     __slots__ = ("_ranks",)
 
     def __init__(self, ranks):
-        arr = _as_permutation(ranks, 1, "ranks")
+        arr = as_reals(ranks, "ranks")
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("ranks must be a non-empty 1-d sequence")
+        # Check before the int cast, which would truncate 1.5 to 1.
+        if not np.array_equal(np.sort(arr), np.arange(1, arr.size + 1)):
+            raise ValueError(f"ranks must be a permutation of 1..{arr.size}")
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         self._ranks = arr
 
@@ -327,19 +340,7 @@ class Ranking:
 
     @classmethod
     def identity(cls, n: int) -> "Ranking":
-        return cls._adopt(np.arange(1, _check_size(n) + 1, dtype=np.int64))
-
-    @classmethod
-    def reversal(cls, n: int) -> "Ranking":
-        return cls._adopt(np.arange(_check_size(n), 0, -1, dtype=np.int64))
-
-    @classmethod
-    def from_order(cls, order) -> "Ranking":
-        """Build from a list of vertices given best-first."""
-        order = _as_permutation(order, 0, "order")
-        ranks = np.empty(order.size, dtype=np.int64)
-        ranks[order] = np.arange(1, order.size + 1)
-        return cls._adopt(ranks)
+        return cls._adopt(np.arange(1, check_size(n) + 1, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -363,9 +364,6 @@ class Ranking:
         """pairwise_sign(i, j) for i < j in lexicographic order (a fresh int8 array)."""
         r = _narrow(self._ranks)
         return _as_signs((r[:, None] < r[None, :])[upper_mask(r.size)])
-
-    def reversed(self) -> "Ranking":
-        return Ranking._adopt(self.n + 1 - self._ranks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ranking):
@@ -478,7 +476,7 @@ def _tournament_from_blocks(n: int, blocks) -> Tournament:
 
 def sample_null(n: int, rng: RngStream | np.random.Generator) -> Tournament:
     """Uniformly random tournament: the planted model at gamma = 0, with no ranking."""
-    n = _check_size(n)
+    n = check_size(n)
     return _tournament_from_blocks(n, _coin_flags(n, 0.0, _as_generator(rng)))
 
 
@@ -491,9 +489,8 @@ def sample_planted(
     above j" equals "the edge agrees with pi", computed in place on the coin
     flips, so no n x n comparison is built.
     """
+    _check_same_size(pi, params)
     n = params.n
-    if pi.n != n:
-        raise ValueError(f"ranking has {pi.n} items but params.n = {n}")
     r = _narrow(pi.ranks)
     flags = _coin_flags(n, params.gamma, _as_generator(rng))
     beats = (
@@ -523,7 +520,7 @@ def sample_planted_uniform(
 
 def sample_null_scores(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Win scores of ``sample_null(n, rng)``, from the same stream, without the tournament."""
-    n = _check_size(n)
+    n = check_size(n)
     return _win_scores(n, _coin_flags(n, 0.0, _as_generator(rng)))
 
 
@@ -546,9 +543,9 @@ def induced_tournament(pi: Ranking) -> Tournament:
     return Tournament._adopt(pi.n, pi.upper_pairwise_signs())
 
 
-def _check_same_size(p1: Ranking, p2: Ranking) -> None:
-    if p1.n != p2.n:
-        raise ValueError(f"rankings have different sizes: {p1.n} vs {p2.n}")
+def _check_same_size(a, b) -> None:
+    if a.n != b.n:
+        raise ValueError(f"sizes differ: {type(a).__name__} n={a.n}, {type(b).__name__} n={b.n}")
 
 
 def kendall_tau(p1: Ranking, p2: Ranking) -> int:
@@ -573,6 +570,5 @@ def alignment(pi: Ranking, t: Tournament) -> int:
     Equals sum over i < j of T_{i,j} * pairwise_sign(i, j); the maximizer
     over rankings is the maximum likelihood estimate of the hidden ranking.
     """
-    if pi.n != t.n:
-        raise ValueError(f"ranking has {pi.n} items but tournament has {t.n}")
+    _check_same_size(pi, t)
     return int(np.sum(t.upper_signs() * pi.upper_pairwise_signs(), dtype=np.int64))

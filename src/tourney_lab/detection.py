@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Tournament
+from .core import ModelParams, Tournament, as_reals, check_size
 
 __all__ = [
     "DetectionVerdict",
@@ -54,16 +54,20 @@ def wedge_from_scores(s: np.ndarray) -> int:
     """Wedge statistic of the tournament whose win scores are ``s``.
 
     Computed in O(n) as (1/2) sum_i s_i^2 - n(n-1)/2; this equals the direct
-    triple sum of T_{i,j} T_{i,k} over all paths of length two.
+    triple sum of T_{i,j} T_{i,k} over all paths of length two.  ``s`` holds whole numbers.
     """
-    s = np.asarray(s, dtype=np.int64)
+    s = as_reals(s, "scores")
+    # Check before the int cast, which would truncate 1.5 to 1.
+    if s.ndim != 1 or (s.dtype.kind == "f" and not np.all(np.isfinite(s) & (s == np.trunc(s)))):
+        raise ValueError("scores must be a 1-d array of whole numbers")
+    s = s.astype(np.int64, copy=False)
     n = s.size
     return (int(s @ s) - n * (n - 1)) // 2
 
 
 def wedge_null_moments(n: int) -> tuple[float, float]:
     """(mean, second moment) of the wedge statistic under the null model."""
-    n = ModelParams(n, 0.0).n
+    n = check_size(n)
     return 0.0, n * (n - 1) * (n - 2) / 2.0
 
 
@@ -203,7 +207,7 @@ def spectral_statistic(t: Tournament) -> float:
 
 def spectral_test(t: Tournament, epsilon: float) -> DetectionVerdict:
     """Declare planted iff spectral_statistic / sqrt(n) >= 2 + epsilon."""
-    if not epsilon > 0.0:  # also rejects NaN
-        raise ValueError("epsilon must be positive")
+    if as_reals(epsilon, "epsilon").ndim or not epsilon > 0.0:  # also rejects NaN
+        raise ValueError(f"epsilon must be a positive number, got {epsilon!r}")
     scaled = spectral_statistic(t) / math.sqrt(t.n)
     return DetectionVerdict(scaled, 2.0 + epsilon)

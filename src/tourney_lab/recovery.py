@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Ranking, Tournament, ranking_codes, tournament_code
+from .core import ModelParams, Ranking, Tournament, as_int, as_reals, ranking_codes, tournament_code
 
 __all__ = [
     "MleResult",
@@ -112,8 +112,9 @@ def expected_error_bound(params: ModelParams) -> float:
 
 def concavity_check(a: float, b: float, grid: int) -> bool:
     """Check concavity of (1-y) Phi(-a*y - b) on [0, 1] by central differences."""
-    if not (a >= 0 and b >= 0):  # also rejects NaN
-        raise ValueError("a and b must be non-negative")
+    if as_reals([a, b], "a and b").shape != (2,) or not (a >= 0 and b >= 0):  # also rejects NaN
+        raise ValueError("a and b must be non-negative numbers")
+    grid = as_int(grid, "grid")
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     y = np.linspace(0.0, 1.0, grid)

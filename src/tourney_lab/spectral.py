@@ -9,11 +9,10 @@ eigenvectors, so its top eigenvalues grow linearly in n.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .core import ModelParams, Ranking, induced_tournament
+from .core import Ranking, as_int, check_size, induced_tournament
 
 __all__ = [
     "build_A",
@@ -32,11 +31,10 @@ def closed_form_eigenvalue(n: int, i: int) -> float:
 
     Indices past the middle are evaluated through the mirror identity
     lambda_{n-i+1} = -lambda_i, which keeps the antisymmetry exact in
-    floating point.  ``n`` and ``i`` are integers, bools refused.
+    floating point.  ``n`` is checked by ``check_size`` and ``i`` by ``as_int``.
     """
-    n = ModelParams(n, 0.0).n
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-        raise ValueError(f"i must be an integer, got {i!r}")
+    n = check_size(n)
+    i = as_int(i, "i")
     if not 1 <= i <= n:
         raise IndexError(f"eigenvalue index {i} out of range 1..{n}")
     mirror = n - i + 1

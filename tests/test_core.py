@@ -112,6 +112,7 @@ class TestTournament:
     def test_bad_signs_rejected(self):
         # Both public constructors check their signs before the int8 cast.
         bad = [[1.5, 1, 1], [0, 1, 1], [1, -7, 1], [True, True, False], ["1", "1", "1"]]
+        bad += [[1, True, -1]]  # an int64 cast would read the bool as 1
         for build in (Tournament, Tournament.from_upper_signs):
             for signs in bad + [np.array([1, 0, 1])]:
                 with pytest.raises(ValueError, match="signs must be"):
@@ -179,7 +180,6 @@ SIZE_ENTRY_POINTS = {
     "sample_null": lambda n: sample_null(n, RngStream(0)),
     "sample_null_scores": lambda n: sample_null_scores(n, RngStream(0)),
     "Ranking.identity": Ranking.identity,
-    "Ranking.reversal": Ranking.reversal,
     "wedge_null_moments": wedge_null_moments,
     "build_A": build_A,
     "closed_form_eigenvalue": lambda n: closed_form_eigenvalue(n, 1),
@@ -230,12 +230,6 @@ class TestRanking:
             Ranking(np.array([1.9, 2.2]))
         pi = Ranking([2.0, 1.0])
         assert pi == Ranking([2, 1]) and pi.ranks.dtype == np.int64
-        # from_order checks for a permutation of 0..n-1 before its int cast too.
-        with pytest.raises(ValueError):
-            Ranking.from_order([1.7, 0.2])
-        with pytest.raises(ValueError):
-            Ranking.from_order([0.5, 1.5])
-        assert Ranking.from_order([1.0, 0.0]) == Ranking([2, 1])
 
     @pytest.mark.parametrize(
         "build, values",
@@ -244,12 +238,13 @@ class TestRanking:
             (Ranking, ["1", "2"]),
             (Ranking, [1, None]),
             (Ranking, [1 + 0j]),
-            (Ranking.from_order, [True, False]),
-            (Ranking.from_order, ["0"]),
+            (Ranking, [2, True]),
+            (Ranking, [True, 2]),
         ],
     )
     def test_non_numbers_rejected(self, build, values):
-        # Bools, strings, None and complex numbers are refused before any comparison.
+        # Bools, strings, None and complex numbers are refused before any comparison,
+        # and a bool among ints before the int64 cast, which would read it as 1.
         with pytest.raises(ValueError):
             build(values)
 
@@ -264,38 +259,23 @@ class TestRanking:
     def test_order_and_from_order(self):
         pi = Ranking([2, 1, 3])
         assert pi.order().tolist() == [1, 0, 2]
-        assert Ranking.from_order([1, 0, 2]) == pi
-
-    def test_reversed(self):
-        pi = Ranking([2, 1, 3])
-        assert pi.reversed() == Ranking([2, 3, 1])
+        assert Ranking(np.argsort(pi.order()) + 1) == pi
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_builders_equal_checked_construction(self, n):
-        # The builders skip the permutation check; their ranks must still be the checked ones.
-        order = RngStream(80, n).generator().permutation(n)
-        built = {
-            "from_order": (Ranking.from_order(order), np.argsort(order) + 1),
-            "identity": (Ranking.identity(n), np.arange(1, n + 1)),
-            "reversal": (Ranking.reversal(n), np.arange(n, 0, -1)),
-            "reversed": (Ranking.from_order(order).reversed(), n - np.argsort(order)),
-        }
-        for name, (pi, ranks) in built.items():
-            checked = Ranking(ranks.tolist())
-            assert pi == checked, name
-            assert pi.ranks.dtype == checked.ranks.dtype == np.int64, name
-            assert not pi.ranks.flags.writeable and not checked.ranks.flags.writeable, name
+        # identity skips the permutation check; its ranks must still be the checked ones.
+        pi, checked = Ranking.identity(n), Ranking(list(range(1, n + 1)))
+        assert pi == checked
+        assert pi.ranks.dtype == checked.ranks.dtype == np.int64
+        assert not pi.ranks.flags.writeable and not checked.ranks.flags.writeable
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_identity_and_reversal_reject_non_integer_n(self, n):
         with pytest.raises(ValueError):
             Ranking.identity(n)
-        with pytest.raises(ValueError):
-            Ranking.reversal(n)
 
     def test_identity_and_reversal_accept_integral_n(self):
         assert Ranking.identity(np.int64(3)) == Ranking([1, 2, 3])
-        assert Ranking.reversal(np.int64(3)) == Ranking([3, 2, 1])
 
 
 class TestSampleNull:
@@ -590,7 +570,7 @@ class TestInducedTournament:
         assert t.upper_signs().tolist() == [1, 1, 1]
 
     def test_reversal(self):
-        t = induced_tournament(Ranking.reversal(3))
+        t = induced_tournament(Ranking(np.arange(3, 0, -1)))
         assert t.upper_signs().tolist() == [-1, -1, -1]
 
     def test_explicit(self):
@@ -711,7 +691,8 @@ class TestPermutationMetrics:
 
     def test_kendall_reversal(self):
         for n in (2, 3, 7):
-            assert kendall_tau(Ranking.identity(n), Ranking.reversal(n)) == n * (n - 1) // 2
+            reversal = Ranking(np.arange(n, 0, -1))
+            assert kendall_tau(Ranking.identity(n), reversal) == n * (n - 1) // 2
 
     def test_kendall_single_swap(self):
         assert kendall_tau(Ranking([1, 2, 3]), Ranking([1, 3, 2])) == 1
@@ -727,7 +708,8 @@ class TestPermutationMetrics:
         # 129 and 257 are the first sizes whose ranks need a wider unsigned type.
         gen = RngStream(12, n).generator()
         pairs = [(random_ranking(n, gen), random_ranking(n, gen)) for _ in range(3)]
-        pairs += [(Ranking.identity(n), Ranking.reversal(n)), (Ranking.reversal(n),) * 2]
+        reversal = Ranking(np.arange(n, 0, -1))
+        pairs += [(Ranking.identity(n), reversal), (reversal, reversal)]
         for p1, p2 in pairs:
             r1, r2 = p1.ranks.tolist(), p2.ranks.tolist()
             expected = sum(
@@ -737,7 +719,7 @@ class TestPermutationMetrics:
 
     def test_footrule_values(self):
         assert spearman_footrule(Ranking.identity(3), Ranking.identity(3)) == 0
-        assert spearman_footrule(Ranking.identity(3), Ranking.reversal(3)) == 4
+        assert spearman_footrule(Ranking.identity(3), Ranking(np.arange(3, 0, -1))) == 4
 
     def test_metric_sandwich(self):
         gen = RngStream(13).generator()
@@ -767,7 +749,7 @@ class TestAlignment:
         for _ in range(100):
             pi = random_ranking(7, gen)
             t = sample_null(7, gen)
-            assert alignment(pi.reversed(), t) == -alignment(pi, t)
+            assert alignment(Ranking(8 - pi.ranks), t) == -alignment(pi, t)
 
     def test_cyclic_identity(self):
         # enumerate the three edges: +1 (0,1), -1 (0,2), +1 (1,2)

@@ -83,6 +83,25 @@ class TestWedgeStatistic:
         assert scores.dtype == np.int64
         assert wedge_statistic(t) == (squares - n * (n - 1)) // 2
         assert wedge_from_scores(scores.astype(np.int32)) == wedge_statistic(t)
+        # Whole floats pass, as Tournament takes float +-1 signs.
+        assert wedge_from_scores(scores.astype(np.float64)) == wedge_statistic(t)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [1.5, -1.5],
+            [True, False],
+            ["1", "-1"],
+            np.array([True, False]),
+            [np.inf, -1.0],
+            [math.nan, 0.0],
+            [[1, -1]],
+        ],
+    )
+    def test_scores_that_are_not_whole_numbers_rejected(self, scores):
+        # An int64 cast would read the first three as 0, -1 and 0.
+        with pytest.raises(ValueError):
+            wedge_from_scores(scores)
 
     def test_matches_direct_sum(self):
         gen = RngStream(5).generator()
@@ -320,8 +339,10 @@ class TestSpectralTest:
         assert result.threshold == pytest.approx(2.1)
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            spectral_test(cyclic3(), 0.0)
+        # A bool is not a margin, nor a string, None or an array.
+        for epsilon in (0.0, -0.1, True, "0.1", None, [0.1], np.array([0.1])):
+            with pytest.raises(ValueError):
+                spectral_test(cyclic3(), epsilon)
 
     def test_nan_epsilon_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import tourney_lab
 
@@ -224,3 +228,46 @@ def test_root_reexports_exactly_the_module_exports():
         name: set(importlib.import_module(f"tourney_lab.{name}").__all__) for name in REEXPORTED
     }
     assert reexports == expected
+
+
+def undeclared_imports(source: str, dependencies: list) -> list:
+    """Third-party top-level modules that ``source`` imports absolutely and that no
+    requirement string in ``dependencies`` names; the standard library and the package are
+    exempt.
+    """
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_") for dep in dependencies}
+    exempt = set(sys.stdlib_module_names) | {"tourney_lab"}
+    return sorted(imported - exempt - declared)
+
+
+def test_run_time_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    hits = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in undeclared_imports(path.read_text(), dependencies)
+    ]
+    assert hits == []
+
+
+def test_guard_flags_undeclared_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "import scipy.special\n"
+        "from tourney_lab.core import Ranking\n"
+        "from . import core\n"
+        "from typing_extensions import Self\n"
+        "def f():\n"
+        "    from matplotlib import pyplot\n"
+    )
+    dependencies = ["NumPy>=2.0", "Typing-Extensions; python_version < '3.11'"]
+    assert undeclared_imports(source, dependencies) == ["matplotlib", "scipy"]

@@ -155,13 +155,14 @@ class TestPessimisticError:
             for (i, j), sign in zip(itertools.combinations(range(n), 2), signs):
                 scores[i] += sign
                 scores[j] -= sign
-            for hidden in (pi, pi.reversed(), Ranking(gen.permutation(n) + 1)):
+            for hidden in (pi, Ranking(n + 1 - pi.ranks), Ranking(gen.permutation(n) + 1)):
                 r = hidden.ranks.tolist()
                 expected = sum(
                     r[i] < r[j] and scores[i] <= scores[j] for i in range(n) for j in range(n)
                 )
                 assert pessimistic_error_statistic(t, hidden) == expected
-        assert pessimistic_error_statistic(induced_tournament(pi), pi.reversed()) == math.comb(n, 2)
+        reversal = Ranking(n + 1 - pi.ranks)
+        assert pessimistic_error_statistic(induced_tournament(pi), reversal) == math.comb(n, 2)
 
     def test_concentration_scale(self):
         # sd over many trials stays far below 10 n^(3/2)
@@ -323,10 +324,12 @@ class TestConcavityCheck:
         assert concavity_check(1.0, 2.0, 1000) is False
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            concavity_check(1.0, 0.0, 2)
-        with pytest.raises(ValueError):
-            concavity_check(-1.0, 0.0, 10)
+        # Bools, strings and None are refused, and a grid that is not an integer.
+        bad = [(1.0, 0.0, 2), (-1.0, 0.0, 10), (True, 0, 5), (0, False, 5), ("1", 0, 5)]
+        bad += [(None, 0, 5), (1.0, 0.0, 3.5), (1.0, 0.0, True), ([1.0], [0.0], 5)]
+        for a, b, grid in bad:
+            with pytest.raises(ValueError):
+                concavity_check(a, b, grid)
 
     @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
     def test_nan_rejected(self, a, b):
