@@ -21,8 +21,9 @@ samplers and for ``Tournament.scores`` alike, without the skew-symmetric
 matrix.
 
 Numbers from outside pass one rule per kind, bools refused: ``as_int`` (and
-``check_size``) for an integer, ``as_reals`` for an array.  ``Tournament(n, signs)``
-and ``Ranking(ranks)`` check their input; ``_adopt`` wraps an array just built.
+``check_size``) for an integer, ``as_reals`` for an array, ``check_gamma`` for
+a model's gamma.  ``Tournament(n, signs)`` and ``Ranking(ranks)`` check their
+input; ``_adopt`` wraps an array just built.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ def upper_mask(n: int, rows: int | None = None) -> np.ndarray:
     return vertex[:rows, None] < vertex[None, :]
 
 
-def _narrow(ranks: np.ndarray) -> np.ndarray:
-    """Values in 0..n (n = ranks.size) cast to the narrowest unsigned type holding n.
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Values in 0..n (n = values.size) cast to the narrowest unsigned type holding n.
 
-    A narrow type makes the n x n comparisons of ranks cheaper.
+    A narrow type makes the n x n comparisons of ranks or wins cheaper.
     """
-    return ranks.astype(np.min_scalar_type(ranks.size))
+    return values.astype(np.min_scalar_type(values.size))
 
 
 def _as_signs(flags: np.ndarray) -> np.ndarray:
@@ -195,6 +196,14 @@ def check_size(n) -> int:
     return n
 
 
+def check_gamma(gamma) -> None:
+    """Refuse a ``gamma`` that is not a real number in [0, 1/2]."""
+    # Check the kind before comparing: refuse bools, strings, None and arrays.
+    value = np.asarray(gamma)
+    if value.ndim or value.dtype.kind not in "iuf" or not 0.0 <= gamma <= 0.5:
+        raise ValueError(f"gamma must be a number in [0, 1/2], got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Planted model parameters: size ``n`` and edge bias ``gamma``.
@@ -208,10 +217,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_size(self.n))
-        # Check the kind before comparing: refuse bools, strings, None and arrays.
-        gamma = np.asarray(self.gamma)
-        if gamma.ndim or gamma.dtype.kind not in "iuf" or not 0.0 <= self.gamma <= 0.5:
-            raise ValueError(f"gamma must be a number in [0, 1/2], got {self.gamma!r}")
+        check_gamma(self.gamma)
 
 
 class Tournament:
@@ -489,7 +495,7 @@ def sample_planted(
     above j" equals "the edge agrees with pi", computed in place on the coin
     flips, so no n x n comparison is built.
     """
-    _check_same_size(pi, params)
+    check_same_size(pi, params)
     n = params.n
     r = _narrow(pi.ranks)
     flags = _coin_flags(n, params.gamma, _as_generator(rng))
@@ -543,24 +549,29 @@ def induced_tournament(pi: Ranking) -> Tournament:
     return Tournament._adopt(pi.n, pi.upper_pairwise_signs())
 
 
-def _check_same_size(a, b) -> None:
+def check_same_size(a, b) -> None:
+    """Refuse two objects whose sizes ``n`` differ."""
     if a.n != b.n:
         raise ValueError(f"sizes differ: {type(a).__name__} n={a.n}, {type(b).__name__} n={b.n}")
 
 
+def discordant_pairs(x: np.ndarray, y: np.ndarray) -> int:
+    """Number of pairs with x_i < x_j and y_i > y_j, for two arrays of n values in 0..n."""
+    x, y = _narrow(x), _narrow(y)
+    discordant = x[:, None] < x[None, :]
+    discordant &= y[:, None] > y[None, :]
+    return int(np.count_nonzero(discordant))
+
+
 def kendall_tau(p1: Ranking, p2: Ranking) -> int:
     """Number of pairs ordered oppositely by the two rankings."""
-    _check_same_size(p1, p2)
-    r1 = _narrow(p1.ranks)
-    r2 = _narrow(p2.ranks)
-    discordant = r1[:, None] < r1[None, :]
-    discordant &= r2[:, None] > r2[None, :]
-    return int(np.count_nonzero(discordant))
+    check_same_size(p1, p2)
+    return discordant_pairs(p1.ranks, p2.ranks)
 
 
 def spearman_footrule(p1: Ranking, p2: Ranking) -> int:
     """Total displacement sum_i |p1(i) - p2(i)|."""
-    _check_same_size(p1, p2)
+    check_same_size(p1, p2)
     return int(np.abs(p1.ranks - p2.ranks).sum())
 
 
@@ -570,5 +581,5 @@ def alignment(pi: Ranking, t: Tournament) -> int:
     Equals sum over i < j of T_{i,j} * pairwise_sign(i, j); the maximizer
     over rankings is the maximum likelihood estimate of the hidden ranking.
     """
-    _check_same_size(pi, t)
+    check_same_size(pi, t)
     return int(np.sum(t.upper_signs() * pi.upper_pairwise_signs(), dtype=np.int64))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Tournament, as_reals, check_size
+from .core import ModelParams, Tournament, as_reals, check_same_size, check_size
 
 __all__ = [
     "DetectionVerdict",
@@ -84,8 +84,7 @@ def wedge_test(t: Tournament, params: ModelParams) -> DetectionVerdict:
     """
     if params.gamma <= 0.0:
         raise ValueError("wedge_test requires gamma > 0")
-    if t.n != params.n:
-        raise ValueError(f"tournament has n={t.n} but params.n={params.n}")
+    check_same_size(t, params)
     threshold = 0.5 * wedge_planted_mean(params)
     return DetectionVerdict(float(wedge_statistic(t)), threshold)
 

@@ -20,7 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelParams, edge_count, ranking_codes, tournament_code, upper_mask
+from .core import (
+    ModelParams,
+    as_int,
+    check_gamma,
+    edge_count,
+    ranking_codes,
+    tournament_code,
+    upper_mask,
+)
 
 __all__ = [
     "Shape",
@@ -39,13 +47,14 @@ MAX_DIVERGENCE_N = 6
 
 @dataclass(frozen=True)
 class Shape:
-    """A set of undirected labelled edges, indexing the monomial T^S."""
+    """A set of undirected edges between integer vertex labels, indexing the monomial T^S."""
 
     edges: frozenset
 
     def __init__(self, edges=()):
         normalized = set()
         for a, b in edges:
+            a, b = as_int(a, "vertex"), as_int(b, "vertex")
             if a == b:
                 raise ValueError(f"self-loop {a} not allowed in a shape")
             normalized.add((min(a, b), max(a, b)))
@@ -83,6 +92,7 @@ def planted_expectation(s: Shape, gamma: float) -> float:
     Only the relative order of the touched vertices matters, so the average
     runs over |V(S)|! orderings rather than all of S_n.
     """
+    check_gamma(gamma)
     return (2.0 * gamma) ** s.num_edges * float(planted_sign_average(s))
 
 
@@ -174,7 +184,8 @@ def kl_rademacher_bound(gamma: float) -> tuple[float, float]:
     Returns (exact value, upper bound 4*gamma^2 / (1/4 - gamma^2)); the
     exact value never exceeds the bound on [0, 1/2).
     """
-    if not 0.0 <= gamma < 0.5:
+    check_gamma(gamma)
+    if gamma >= 0.5:
         raise ValueError("gamma must lie in [0, 1/2); gamma = 1/2 diverges")
     if gamma == 0.0:
         return 0.0, 0.0

@@ -13,7 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Ranking, Tournament, as_int, as_reals, ranking_codes, tournament_code
+from .core import (
+    ModelParams,
+    Ranking,
+    Tournament,
+    as_int,
+    as_reals,
+    check_same_size,
+    discordant_pairs,
+    ranking_codes,
+    tournament_code,
+)
 
 __all__ = [
     "MleResult",
@@ -64,15 +74,10 @@ def pessimistic_error_statistic(t: Tournament, hidden: Ranking) -> int:
     Upper-bounds the Kendall tau error of Ranking By Wins under every
     tie-breaking rule.
     """
-    if hidden.n != t.n:
-        raise ValueError(f"ranking has {hidden.n} items but tournament has {t.n}")
-    n = t.n
-    # Ranks are 1..n and |s_i| <= n - 1: compare both in the narrowest types holding them.
-    r = hidden.ranks.astype(np.min_scalar_type(n))
-    s = t.scores().astype(np.promote_types(np.min_scalar_type(n - 1), np.min_scalar_type(1 - n)))
-    bad = r[:, None] < r[None, :]
-    bad &= s[:, None] <= s[None, :]
-    return int(np.count_nonzero(bad))
+    check_same_size(hidden, t)
+    # C(n,2) minus the pairs with s_i > s_j, counted on the wins 0..n-1: s_i = 2 wins_i - (n - 1).
+    wins = (t.scores() + t.n - 1) // 2
+    return t.num_edges - discordant_pairs(hidden.ranks, wins)
 
 
 def brute_force_mle(t: Tournament) -> MleResult:

@@ -25,7 +25,8 @@ from tourney_lab.core import (
     tournament_code,
     upper_mask,
 )
-from tourney_lab.detection import wedge_null_moments
+from tourney_lab.detection import wedge_null_moments, wedge_test
+from tourney_lab.recovery import pessimistic_error_statistic
 from tourney_lab.spectral import build_A, closed_form_eigenpair, closed_form_eigenvalue
 
 
@@ -201,6 +202,27 @@ def test_every_entry_point_rejects_a_bad_size_alike(entry, n, message):
     with pytest.raises(ValueError) as raised:
         SIZE_ENTRY_POINTS[entry](n)
     assert str(raised.value) == message
+
+
+# Every function that takes two sized objects refuses a mismatch through core.check_same_size.
+SIZE_MISMATCHES = {
+    "sample_planted": lambda: sample_planted(
+        ModelParams(3, 0.1), Ranking.identity(4), RngStream(0)
+    ),
+    "kendall_tau": lambda: kendall_tau(Ranking.identity(3), Ranking.identity(4)),
+    "spearman_footrule": lambda: spearman_footrule(Ranking.identity(3), Ranking.identity(4)),
+    "alignment": lambda: alignment(Ranking.identity(4), cyclic3()),
+    "pessimistic_error_statistic": lambda: pessimistic_error_statistic(
+        cyclic3(), Ranking.identity(4)
+    ),
+    "wedge_test": lambda: wedge_test(cyclic3(), ModelParams(4, 0.1)),
+}
+
+
+@pytest.mark.parametrize("entry", list(SIZE_MISMATCHES))
+def test_every_pair_of_sizes_is_checked_alike(entry):
+    with pytest.raises(ValueError, match="sizes differ"):
+        SIZE_MISMATCHES[entry]()
 
 
 class TestRanking:
@@ -703,9 +725,10 @@ class TestPermutationMetrics:
             p1, p2 = random_ranking(6, gen), random_ranking(6, gen)
             assert kendall_tau(p1, p2) == kendall_tau(p2, p1)
 
-    @pytest.mark.parametrize("n", [2, 3, 129, 130, 256, 257])
+    @pytest.mark.parametrize("n", [1, 2, 3, 129, 130, 255, 256, 257])
     def test_kendall_matches_pair_loop(self, n):
-        # 129 and 257 are the first sizes whose ranks need a wider unsigned type.
+        # 129 and 257 are the first sizes whose ranks need a wider unsigned type;
+        # at 255 the ranks fill uint8.
         gen = RngStream(12, n).generator()
         pairs = [(random_ranking(n, gen), random_ranking(n, gen)) for _ in range(3)]
         reversal = Ranking(np.arange(n, 0, -1))

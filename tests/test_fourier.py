@@ -94,6 +94,15 @@ class TestShape:
     def test_duplicate_edges_collapse(self):
         assert Shape([(0, 1), (1, 0)]).num_edges == 1
 
+    @pytest.mark.parametrize("edges", [[(True, 2), (1, 2)], [(0.5, 2)], [("a", "b")]])
+    def test_labels_must_be_integers(self, edges):
+        # True == 1 would merge (True, 2) into (1, 2).
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            Shape(edges)
+
+    def test_numpy_integer_labels_read_as_ints(self):
+        assert Shape([(np.int64(1), 2)]) == Shape([(1, 2)])
+
     def test_vertices_and_components(self):
         s = Shape([(0, 1), (2, 3), (3, 4)])
         assert s.vertices() == (0, 1, 2, 3, 4)
@@ -328,6 +337,22 @@ class TestNeymanPearsonFloor:
             type1 = votes.mean()  # null is uniform over the 8 tournaments
             type2 = probs[~votes].sum()
             assert type1 + type2 >= floor - 1e-12
+
+
+# Every function that takes a bare gamma checks it with ModelParams' words.
+GAMMA_ENTRY_POINTS = {
+    "ModelParams": lambda gamma: ModelParams(5, gamma),
+    "planted_expectation": lambda gamma: planted_expectation(WEDGE, gamma),
+    "kl_rademacher_bound": kl_rademacher_bound,
+}
+
+
+@pytest.mark.parametrize("gamma", [True, False, 0.7, -0.3, float("nan"), "0.1", None])
+@pytest.mark.parametrize("entry", list(GAMMA_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_bad_gamma_alike(entry, gamma):
+    with pytest.raises(ValueError) as raised:
+        GAMMA_ENTRY_POINTS[entry](gamma)
+    assert str(raised.value) == f"gamma must be a number in [0, 1/2], got {gamma!r}"
 
 
 class TestKlRademacher:

@@ -200,6 +200,45 @@ def test_guard_flags_every_caller_of_a_draw_method():
     }
 
 
+# The numpy calls that pick a narrow dtype for a comparison.  core owns that
+# choice (_narrow, upper_mask, _win_scores), so no other module makes its own.
+NARROWING_CALLS = ("min_scalar_type", "promote_types")
+
+
+def narrowing_calls(source: str, name: str = "<source>") -> list:
+    """Calls of a NARROWING_CALLS name, as ``np.<name>(...)`` or as a bare name."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if called in NARROWING_CALLS:
+                hits.append((node.lineno, node.col_offset, f"{name}:{node.lineno}: calls {called}"))
+    return [hit for *_, hit in sorted(hits)]
+
+
+def test_only_core_narrows_dtypes():
+    core = Path(tourney_lab.__file__).parent / "core.py"
+    assert narrowing_calls(core.read_text())
+    others = [path for path in SOURCES if path != core]
+    hits = [hit for path in others for hit in narrowing_calls(path.read_text(), path.name)]
+    assert hits == []
+
+
+def test_guard_flags_every_narrowing_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy import promote_types\n"
+        "def f(r, n):\n"
+        "    return r.astype(np.min_scalar_type(n)), promote_types(np.int8, r.dtype)\n"
+        "def g(r):\n"
+        "    return np.result_type(r, np.int8), r.astype(np.uint8)\n"
+    )
+    assert narrowing_calls(source) == [
+        "<source>:4: calls min_scalar_type",
+        "<source>:4: calls promote_types",
+    ]
+
+
 def top_level_names(source: str) -> set:
     """Names a module binds at top level by def, class or assignment."""
     names = set()

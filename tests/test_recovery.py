@@ -140,10 +140,11 @@ class TestPessimisticError:
         with pytest.raises(ValueError):
             pessimistic_error_statistic(cyclic3(), Ranking.identity(4))
 
-    @pytest.mark.parametrize("n", [2, 3, 129, 130, 256, 257])
+    @pytest.mark.parametrize("n", [1, 2, 3, 129, 130, 255, 256, 257])
     def test_matches_pair_loop(self, n):
         # The transitive tournament's scores reach +-(n - 1): +128 at n = 129,
-        # which an int8 comparison would wrap.  The rotational one ties scores.
+        # which an int8 comparison would wrap.  At 255 the ranks fill uint8.
+        # The rotational tournament ties scores.
         gen = RngStream(67, n).generator()
         pi = Ranking(gen.permutation(n) + 1)
         gap = (np.arange(n) - np.arange(n)[:, None]) % n
