@@ -22,8 +22,9 @@ matrix.
 
 Numbers from outside pass one rule per kind, bools refused: ``as_int`` (and
 ``check_size``) for an integer, ``as_reals`` for an array, ``check_gamma`` for
-a model's gamma.  ``Tournament(n, signs)`` and ``Ranking(ranks)`` check their
-input; ``_adopt`` wraps an array just built.
+a model's gamma.  Library arguments and sweep configs alike go through them.
+``Tournament(n, signs)`` and ``Ranking(ranks)`` check their input; ``_adopt``
+wraps an array just built.
 """
 
 from __future__ import annotations
@@ -146,12 +147,16 @@ def as_reals(values, name: str) -> np.ndarray:
     """``values`` as an ndarray of real numbers: dtype kind i, u or f, and no bool.
 
     An ndarray is returned as it is.  Other input is checked as Python objects
-    first, since the cast would turn [2, True] into [2, 1].
+    first, since the cast would turn [2, True] into [2, 1].  A ragged sequence,
+    such as [1, [2]], is refused under ``name``.
     """
     if not isinstance(values, np.ndarray):
         if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
             raise ValueError(f"{name} must be real, got a bool")
-        values = np.asarray(values)
+        try:
+            values = np.asarray(values)
+        except ValueError:
+            raise ValueError(f"{name} must be real, got a ragged sequence") from None
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real, got dtype {values.dtype}")
     return values

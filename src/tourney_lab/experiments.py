@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import os
-import sys
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -27,6 +26,8 @@ from .core import (
     ModelParams,
     RngStream,
     alignment,
+    as_int,
+    as_reals,
     kendall_tau,
     sample_null,
     sample_null_scores,
@@ -174,16 +175,6 @@ EXPERIMENTS = {
 }
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    # JSON integers are unbounded; one too large for a float is not a usable number.
-    return (_is_int(x) and abs(x) <= sys.float_info.max) or isinstance(x, float)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: experiment name, grid, trial count, seed, and output path.
@@ -192,8 +183,9 @@ class SweepConfig:
     ``{"c": c, "alpha": a}`` meaning gamma = c * n^(-alpha) at each n.
     ``epsilon`` is the spectral test margin (spectral detection only).
     Every construction, ``dataclasses.replace`` included, freezes the grid
-    (lists become tuples, the rule a read-only mapping), validates the
-    config and raises :class:`ConfigError` if it is invalid.
+    (lists become tuples, the rule a read-only mapping), stores its integers
+    as Python ints, validates the config and raises :class:`ConfigError` if
+    it is invalid.
     """
 
     experiment: str
@@ -206,13 +198,18 @@ class SweepConfig:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_values, list):
-            object.__setattr__(self, "n_values", tuple(self.n_values))
-        if isinstance(self.gamma_spec, list):
-            object.__setattr__(self, "gamma_spec", tuple(self.gamma_spec))
-        elif isinstance(self.gamma_spec, Mapping):
-            object.__setattr__(self, "gamma_spec", MappingProxyType(dict(self.gamma_spec)))
-        self.validate()
+        try:
+            for name in ("trials", "threads", "seed"):
+                object.__setattr__(self, name, as_int(getattr(self, name), name))
+            if isinstance(self.n_values, (list, tuple)):
+                object.__setattr__(self, "n_values", tuple(as_int(n, "n") for n in self.n_values))
+            if isinstance(self.gamma_spec, list):
+                object.__setattr__(self, "gamma_spec", tuple(self.gamma_spec))
+            elif isinstance(self.gamma_spec, Mapping):
+                object.__setattr__(self, "gamma_spec", MappingProxyType(dict(self.gamma_spec)))
+            self.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -232,55 +229,50 @@ class SweepConfig:
         return (float(self.gamma_spec["c"]) * float(n) ** -float(self.gamma_spec["alpha"]),)
 
     def validate(self) -> None:
+        """Raise ValueError unless the frozen config is valid; numbers pass core's rules."""
         if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {sorted(EXPERIMENTS)}"
             )
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ConfigError("trials must be a positive integer")
-        if not _is_int(self.threads) or self.threads < 1:
-            raise ConfigError("threads must be a positive integer")
-        if not _is_int(self.seed):
-            raise ConfigError("seed must be an integer")
+        for name in ("trials", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         path = self.output_path
         if not isinstance(path, str) or not path or "\0" in path:
-            raise ConfigError("output_path must be a non-empty string with no NUL character")
-        if not isinstance(self.n_values, tuple) or not self.n_values:
-            raise ConfigError("n_values must be a non-empty list")
-        for n in self.n_values:
-            if not (_is_int(n) and _is_number(n)) or n < 2:
-                raise ConfigError("every n must be an integer >= 2")
+            raise ValueError("output_path must be a non-empty string with no NUL character")
+        n_values = self.n_values
+        if not isinstance(n_values, tuple) or not n_values or len(set(n_values)) < len(n_values):
+            raise ValueError("n_values must be a non-empty list of distinct integers")
+        for n in n_values:
+            if n < 2:
+                raise ValueError("every n must be at least 2")
             if n * n > np.iinfo(np.intp).max:
-                raise ConfigError(f"n={n} is too large for an n x n array")
-        if len(set(self.n_values)) < len(self.n_values):
-            raise ConfigError("n values must be distinct")
+                raise ValueError(f"n={n} is too large for an n x n array")
         if isinstance(self.gamma_spec, tuple):
-            if not self.gamma_spec:
-                raise ConfigError("gamma list must be non-empty")
-            if not all(_is_number(g) for g in self.gamma_spec):
-                raise ConfigError("every gamma must be a number")
-            if len(set(map(float, self.gamma_spec))) < len(self.gamma_spec):
-                raise ConfigError("gamma values must be distinct")
+            gammas = as_reals(self.gamma_spec, "gamma")
+            # Checked flat before the set, which counts 0.0 and -0.0 as one value.
+            if gammas.ndim != 1 or not gammas.size or len(set(gammas.tolist())) < gammas.size:
+                raise ValueError("gamma_spec must be a non-empty list of distinct numbers")
         elif isinstance(self.gamma_spec, Mapping):
             if set(self.gamma_spec) != {"c", "alpha"}:
-                raise ConfigError('gamma_spec object must have exactly the keys "c" and "alpha"')
-            if not all(_is_number(v) for v in self.gamma_spec.values()):
-                raise ConfigError("gamma scaling c and alpha must be numbers")
-            if not float(self.gamma_spec["c"]) > 0:
-                raise ConfigError("gamma scaling requires c > 0")
-            if not 0.0 <= float(self.gamma_spec["alpha"]) <= 1.0:
-                raise ConfigError("gamma scaling requires alpha in [0, 1]")
+                raise ValueError('gamma_spec object must have exactly the keys "c" and "alpha"')
+            rule = as_reals([self.gamma_spec["c"], self.gamma_spec["alpha"]], "c and alpha")
+            if rule.shape != (2,):
+                raise ValueError("gamma scaling c and alpha must be numbers")
+            c, alpha = rule
+            if not (c > 0 and 0.0 <= alpha <= 1.0):
+                raise ValueError("gamma scaling requires c > 0 and alpha in [0, 1]")
         else:
-            raise ConfigError("gamma_spec must be a list or a {c, alpha} object")
-        if not (_is_number(self.epsilon) and 0 < self.epsilon < math.inf):
-            raise ConfigError("epsilon must be a finite positive number")
+            raise ValueError("gamma_spec must be a list or a {c, alpha} object")
+        if as_reals(self.epsilon, "epsilon").ndim or not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be a finite positive number")
         spec = EXPERIMENTS[self.experiment]
-        for n in self.n_values:
+        for n in n_values:
             if spec.max_n is not None and n > spec.max_n:
-                raise ConfigError(f"{self.experiment} requires n <= {spec.max_n}")
+                raise ValueError(f"{self.experiment} requires n <= {spec.max_n}")
             for gamma in self.gammas_for(n):
                 if not 0.0 <= gamma <= spec.max_gamma:
-                    raise ConfigError(f"gamma={gamma} at n={n} falls outside [0, {spec.max_gamma}]")
+                    raise ValueError(f"gamma={gamma} at n={n} falls outside [0, {spec.max_gamma}]")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import re
 import statistics
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,11 @@ class TestConfigValidation:
             {"n_values": [10, 10]},
             {"gamma_spec": [0.1, 0.1]},
             {"gamma_spec": [0.0, -0.0]},
+            {"gamma_spec": [[0.1]]},
+            {"gamma_spec": [0.1, [0.2]]},
+            {"gamma_spec": {"c": [1, 2], "alpha": [3, 4]}},
+            {"gamma_spec": {"c": [1], "alpha": 0.5}},
+            {"gamma_spec": {"alpha": 1.5, "c": 0.5}},  # read by key, not in JSON order
         ],
         ids=json.dumps,
     )
@@ -206,6 +212,28 @@ class TestConfigValidation:
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "rows.csv").exists()
+
+
+    def test_numpy_integers_are_stored_as_python_ints(self, tmp_path):
+        plain = make_config(tmp_path, n_values=[12, 16], output_path=str(tmp_path / "plain.csv"))
+        wide = SweepConfig(
+            "detect-wedge",
+            [np.int64(12), np.int64(16)],
+            [0.0, 0.3],
+            np.int64(3),
+            np.int64(7),
+            threads=np.int64(1),
+            output_path=str(tmp_path / "wide.csv"),
+        )
+        assert all(type(v) is int for v in (*wide.n_values, wide.trials, wide.seed, wide.threads))
+        run_sweep(plain)
+        run_sweep(wide)
+        assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        # np.int64(4e9) squared would overflow with a RuntimeWarning; the stored int does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="too large"):
+                SweepConfig("detect-wedge", [np.int64(4_000_000_000)], [0.1], 1, 1)
 
 
 class TestRunSweep:

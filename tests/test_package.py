@@ -239,6 +239,41 @@ def test_guard_flags_every_narrowing_call():
     ]
 
 
+# core decides what a bool is (as_int, as_reals); no other module asks isinstance itself.
+def bool_checks(source: str, name: str = "<source>") -> list:
+    """``isinstance`` calls whose type argument is, or is a tuple holding, bool or np.bool_."""
+    hits = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:]
+            kinds += [kind for tuple_ in kinds for kind in getattr(tuple_, "elts", [])]
+            labels = {getattr(kind, "id", getattr(kind, "attr", None)) for kind in kinds}
+            if labels & {"bool", "bool_"}:
+                hit = f"{name}:{node.lineno}: checks for a bool"
+                hits.append((node.lineno, node.col_offset, hit))
+    return [hit for *_, hit in sorted(hits)]
+
+
+def test_only_core_checks_for_bools():
+    core = Path(tourney_lab.__file__).parent / "core.py"
+    assert bool_checks(core.read_text())
+    others = [path for path in SOURCES if path != core]
+    assert [hit for path in others for hit in bool_checks(path.read_text(), path.name)] == []
+
+
+def test_guard_flags_every_bool_check():
+    source = (
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    return isinstance(x, bool)\n"
+        "def g(x):\n"
+        "    return isinstance(x, (int, np.bool_)), isinstance(x, int)\n"
+        "def h(x):\n"
+        "    return type(x) is bool, bool(x), isinstance(x, np.ndarray)\n"
+    )
+    assert bool_checks(source) == ["<source>:3: checks for a bool", "<source>:5: checks for a bool"]
+
+
 def top_level_names(source: str) -> set:
     """Names a module binds at top level by def, class or assignment."""
     names = set()
