@@ -40,6 +40,7 @@ from .recovery import (
     brute_force_mle,
     concavity_check,
     expected_error_bound,
+    max_alignment,
     opt_bounds,
     pessimistic_error_statistic,
     ranking_by_wins,

@@ -201,6 +201,14 @@ def check_size(n) -> int:
     return n
 
 
+def _vertex_pair(n: int, i, j) -> tuple[int, int]:
+    """``i`` and ``j`` as Python ints, each checked by ``as_int`` and to be a vertex 0..n-1."""
+    i, j = as_int(i, "i"), as_int(j, "j")
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"vertex out of range for n={n}")
+    return i, j
+
+
 def check_gamma(gamma) -> None:
     """Refuse a ``gamma`` that is not a real number in [0, 1/2]."""
     # Check the kind before comparing: refuse bools, strings, None and arrays.
@@ -285,8 +293,7 @@ class Tournament:
     def sign(self, i: int, j: int) -> int:
         """T_{i,j}: skew-symmetric accessor with zero diagonal."""
         n = self._n
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"vertex out of range for n={n}")
+        i, j = _vertex_pair(n, i, j)
         if i == j:
             return 0
         flip = 1
@@ -367,6 +374,7 @@ class Ranking:
 
     def pairwise_sign(self, i: int, j: int) -> int:
         """+1 if i is ranked above j, -1 otherwise."""
+        i, j = _vertex_pair(self.n, i, j)
         if i == j:
             raise ValueError("pairwise_sign requires distinct items")
         return 1 if self._ranks[i] < self._ranks[j] else -1

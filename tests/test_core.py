@@ -247,6 +247,28 @@ def test_ragged_input_is_refused_by_name(entry):
     assert str(raised.value) == f"{name} must be real, got a ragged sequence"
 
 
+# Both pair accessors on n = 3 read i and j through core.as_int and one range check.
+PAIR_ACCESSORS = {"sign": cyclic3().sign, "pairwise_sign": Ranking([2, 1, 3]).pairwise_sign}
+
+
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        (True, 2, "i must be an integer, got True"),
+        (1, True, "j must be an integer, got True"),
+        (1.0, 2, "i must be an integer, got 1.0"),
+        (-1, 2, "vertex out of range for n=3"),
+        (0, 3, "vertex out of range for n=3"),
+    ],
+)
+@pytest.mark.parametrize("accessor", list(PAIR_ACCESSORS))
+def test_pair_accessors_check_their_indices(accessor, i, j, message):
+    error = IndexError if message.startswith("vertex") else ValueError
+    with pytest.raises(error) as raised:
+        PAIR_ACCESSORS[accessor](i, j)
+    assert str(raised.value) == message
+
+
 class TestRanking:
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     def test_uniform_ranking_equals_checked_construction(self, n):

@@ -17,7 +17,13 @@ import pytest
 
 from tourney_lab import experiments
 from tourney_lab.cli import main
-from tourney_lab.core import ModelParams, RngStream, sample_null, sample_planted_uniform
+from tourney_lab.core import (
+    ModelParams,
+    RngStream,
+    ranking_codes,
+    sample_null,
+    sample_planted_uniform,
+)
 from tourney_lab.detection import wedge_null_moments, wedge_statistic
 from tourney_lab.experiments import (
     CSV_HEADER,
@@ -109,7 +115,7 @@ class TestConfigValidation:
 
     def test_mle_size_cap(self, tmp_path):
         with pytest.raises(ConfigError):
-            make_config(tmp_path, experiment="mle-compare", n_values=[10], gamma_spec=[0.25])
+            make_config(tmp_path, experiment="mle-compare", n_values=[17], gamma_spec=[0.25])
 
     def test_chi2_size_cap(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -276,7 +282,7 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return None
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -344,9 +350,10 @@ class TestRunSweep:
 
     def test_mle_compare_statistics(self, tmp_path):
         cfg = make_config(
-            tmp_path, experiment="mle-compare", n_values=[6], gamma_spec=[0.25], trials=5
+            tmp_path, experiment="mle-compare", n_values=[6, 10, 16], gamma_spec=[0.25], trials=5
         )
         result = run_sweep(cfg)
+        assert {r.n for r in result.rows} == {6, 10, 16}
         ratios = [r.value for r in result.rows if r.statistic == "alignment_ratio"]
         rbw = [r.value for r in result.rows if r.statistic == "rbw_alignment"]
         mle = [r.value for r in result.rows if r.statistic == "mle_alignment"]
@@ -354,6 +361,12 @@ class TestRunSweep:
             assert a <= b
             if b:
                 assert rat == pytest.approx(a / b)
+
+    def test_mle_compare_enumerates_no_rankings(self, tmp_path):
+        # brute_force_mle would leave ranking_codes(9) in the cache.
+        ranking_codes.cache_clear()
+        run_sweep(make_config(tmp_path, experiment="mle-compare", n_values=[9], gamma_spec=[0.2]))
+        assert ranking_codes.cache_info().currsize == 0
 
     def test_chi2_table(self, tmp_path):
         cfg = make_config(
@@ -538,14 +551,23 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
-    def test_spectral_rows_independent_of_thread_count(self, tmp_path):
-        config = self.write_config(
-            tmp_path, experiment="detect-spectral", n_values=[9, 64], gamma_spec=[0.0, 0.2]
-        )
+    def assert_rows_independent_of_thread_count(self, tmp_path, **grid):
+        config = self.write_config(tmp_path, **grid)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["run", "--config", str(config), "--out", str(a), "--threads", "1"]) == 0
         assert main(["run", "--config", str(config), "--out", str(b), "--threads", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_spectral_rows_independent_of_thread_count(self, tmp_path):
+        self.assert_rows_independent_of_thread_count(
+            tmp_path, experiment="detect-spectral", n_values=[9, 64], gamma_spec=[0.0, 0.2]
+        )
+
+    def test_chunked_rows_independent_of_thread_count(self, tmp_path):
+        # 28 tasks: two workers take chunks of 28 // 8 = 3, and the last chunk holds one.
+        self.assert_rows_independent_of_thread_count(
+            tmp_path, experiment="recover", n_values=[8, 9], gamma_spec=[0.05, 0.2], trials=7
+        )
 
     def test_zero_threads_exit_2(self, tmp_path):
         config = self.write_config(tmp_path)

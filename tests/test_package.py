@@ -205,22 +205,24 @@ def test_guard_flags_every_caller_of_a_draw_method():
 NARROWING_CALLS = ("min_scalar_type", "promote_types")
 
 
-def narrowing_calls(source: str, name: str = "<source>") -> list:
-    """Calls of a NARROWING_CALLS name, as ``np.<name>(...)`` or as a bare name."""
+def named_calls(source: str, names: tuple, name: str = "<source>") -> list:
+    """Calls of a function in ``names``, as ``m.<name>(...)`` or as a bare name."""
     hits = []
     for node in ast.walk(ast.parse(source, filename=name)):
         if isinstance(node, ast.Call):
             called = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-            if called in NARROWING_CALLS:
+            if called in names:
                 hits.append((node.lineno, node.col_offset, f"{name}:{node.lineno}: calls {called}"))
     return [hit for *_, hit in sorted(hits)]
 
 
 def test_only_core_narrows_dtypes():
     core = Path(tourney_lab.__file__).parent / "core.py"
-    assert narrowing_calls(core.read_text())
+    assert named_calls(core.read_text(), NARROWING_CALLS)
     others = [path for path in SOURCES if path != core]
-    hits = [hit for path in others for hit in narrowing_calls(path.read_text(), path.name)]
+    hits = [
+        hit for path in others for hit in named_calls(path.read_text(), NARROWING_CALLS, path.name)
+    ]
     assert hits == []
 
 
@@ -233,9 +235,33 @@ def test_guard_flags_every_narrowing_call():
         "def g(r):\n"
         "    return np.result_type(r, np.int8), r.astype(np.uint8)\n"
     )
-    assert narrowing_calls(source) == [
+    assert named_calls(source, NARROWING_CALLS) == [
         "<source>:4: calls min_scalar_type",
         "<source>:4: calls promote_types",
+    ]
+
+
+# The n! enumerators stay test oracles: sweeps take the exact maximum from recovery.max_alignment.
+ORACLES = ("brute_force_mle",)
+
+
+def test_sweeps_call_no_enumeration_oracle():
+    experiments = Path(tourney_lab.__file__).parent / "experiments.py"
+    assert named_calls(experiments.read_text(), ORACLES, experiments.name) == []
+
+
+def test_guard_flags_every_oracle_call():
+    source = (
+        "from . import recovery\n"
+        "from .recovery import brute_force_mle as oracle, brute_force_mle\n"
+        "def f(t):\n"
+        "    return recovery.brute_force_mle(t).best_alignment, recovery.max_alignment(t)\n"
+        "def g(t):\n"
+        "    return brute_force_mle(t), oracle(t), recovery.brute_force_mle\n"
+    )
+    assert named_calls(source, ORACLES) == [
+        "<source>:4: calls brute_force_mle",
+        "<source>:6: calls brute_force_mle",
     ]
 
 

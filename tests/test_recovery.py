@@ -27,6 +27,7 @@ from tourney_lab.recovery import (
     brute_force_mle,
     concavity_check,
     expected_error_bound,
+    max_alignment,
     opt_bounds,
     pessimistic_error_statistic,
     ranking_by_wins,
@@ -276,6 +277,66 @@ class TestBruteForceMle:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * ranking_codes(9).nbytes
+
+
+def draw(n: int, gamma: float, stream: RngStream) -> Tournament:
+    """A null draw at gamma = 0, else the tournament of a planted draw."""
+    if gamma == 0.0:
+        return sample_null(n, stream)
+    return sample_planted_uniform(ModelParams(n, gamma), stream)[1]
+
+
+class TestMaxAlignment:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_small_tournament_matches_brute_force(self, n):
+        for signs in itertools.product((-1, 1), repeat=n * (n - 1) // 2):
+            t = Tournament(n, np.array(signs))
+            assert max_alignment(t) == brute_force_mle(t).best_alignment, signs
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_seeded_draws_match_brute_force(self, n):
+        tied = 0
+        for k, gamma in enumerate([0.0, 0.0, 0.05, 0.05, 0.2, 0.2, 0.5, 0.5]):
+            t = draw(n, gamma, RngStream(74, 10 * n + k))
+            assert max_alignment(t) == brute_force_mle(t).best_alignment, (gamma, k)
+            tied += np.unique(t.scores()).size < n
+        assert tied  # draws with equal scores are among them
+
+    def test_matches_the_permutation_oracle(self):
+        # mle_oracle loops over itertools.permutations, not over core.ranking_codes.
+        for n in range(1, 7):
+            for k, gamma in enumerate([0.0, 0.1, 0.3]):
+                t = draw(n, gamma, RngStream(75, 10 * n + k))
+                assert max_alignment(t) == mle_oracle(t)[0], (n, gamma)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_invariants_past_the_oracle(self, n):
+        m = math.comb(n, 2)
+        pi = Ranking(RngStream(76, n).generator().permutation(n) + 1)
+        assert max_alignment(induced_tournament(pi)) == m
+        for k, gamma in enumerate([0.0, 0.05, 0.2]):
+            t = draw(n, gamma, RngStream(77, 10 * n + k))
+            value = max_alignment(t)
+            assert max_alignment(Tournament(n, -t.upper_signs())) == value
+            assert alignment(ranking_by_wins(t), t) <= value <= m
+            assert (value - m) % 2 == 0
+
+    def test_size_guard(self):
+        with pytest.raises(ValueError, match="n=17 exceeds 16"):
+            max_alignment(sample_null(17, RngStream(0)))
+
+    def test_peak_at_the_largest_size(self):
+        # The 2^16 table and one popcount layer's (sets x n) arrays: about 2.2 MiB.
+        t = sample_null(16, RngStream(78))
+        first = max_alignment(t)
+        tracemalloc.start()
+        try:
+            again = max_alignment(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 8 * 2**20
 
 
 class TestExpectedErrorBound:
