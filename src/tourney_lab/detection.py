@@ -206,7 +206,7 @@ def spectral_statistic(t: Tournament) -> float:
 
 def spectral_test(t: Tournament, epsilon: float) -> DetectionVerdict:
     """Declare planted iff spectral_statistic / sqrt(n) >= 2 + epsilon."""
-    if as_reals(epsilon, "epsilon").ndim or not epsilon > 0.0:  # also rejects NaN
-        raise ValueError(f"epsilon must be a positive number, got {epsilon!r}")
+    if as_reals(epsilon, "epsilon").ndim or not 0.0 < epsilon < math.inf:  # also rejects NaN
+        raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
     scaled = spectral_statistic(t) / math.sqrt(t.n)
     return DetectionVerdict(scaled, 2.0 + epsilon)

@@ -5,10 +5,10 @@ shapes (edge subsets of K_n).  Under the planted model the expectation of
 T^S factors as (2*gamma)^|S| times a sign average over the relative orders
 of the touched vertices; summing squared expectations over all shapes gives
 the chi-squared divergence between planted and null.  Everything here is
-exact.  Sign averages enumerate the orders of a shape's vertices; the
-divergences read the planted pmf over all 2^m tournaments, which is the
-histogram of the n! ranking codes smoothed by the per-edge noise, and are
-guarded to small n.
+exact.  Sign averages follow a top-set recurrence and chi2_fourier a Mahonian
+product.  The one enumeration, for chi2_exact and tv_exact, reads the planted
+pmf over all 2^m tournaments, the histogram of the n! ranking codes smoothed
+by the per-edge noise, and is guarded to small n.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .core import (
     check_gamma,
     edge_count,
     ranking_codes,
-    tournament_code,
-    upper_mask,
 )
 
 __all__ = [
@@ -70,27 +68,40 @@ class Shape:
 
 
 def planted_sign_average(s: Shape) -> Fraction:
-    """Exact average of (-1)^(# inverted edges) over orders of the vertices."""
+    """Exact average of (-1)^(# inverted edges) over orders of the vertices.
+
+    Relabel the touched vertices 0..k-1 and build each order from the top.  With
+    later[v] the shape neighbours u > v of v, putting v directly below S - v inverts
+    the edges to S & later[v], so signed[S] = sum over v in S of
+    (-1)^popcount(S & later[v]) * signed[S - v] over 2^k sets, and the average is
+    signed[V] / k!.
+    """
     verts = s.vertices()
     k = len(verts)
     if k > MAX_SHAPE_VERTICES:
         raise ValueError(
-            f"shape touches {k} vertices; enumeration is guarded to {MAX_SHAPE_VERTICES}"
+            f"shape touches {k} vertices; the subset recurrence is guarded to {MAX_SHAPE_VERTICES}"
         )
-    # Relabel the vertices 0..k-1; a ranking inverts edge (a, b), a < b, when its code bit is 0.
     index = {v: i for i, v in enumerate(verts)}
-    edges = np.zeros((k, k), dtype=bool)
+    later = [0] * k
     for a, b in s.edges:
-        edges[index[a], index[b]] = True
-    inverted = np.bitwise_count(~ranking_codes(k) & tournament_code(edges[upper_mask(k)]))
-    return Fraction(inverted.size - 2 * int(np.count_nonzero(inverted & 1)), inverted.size)
+        later[index[a]] |= 1 << index[b]
+    signed = [1] * (1 << k)
+    for top in range(1, 1 << k):
+        total = 0
+        for v in range(k):
+            if top >> v & 1:
+                term = signed[top ^ 1 << v]
+                total += -term if (top & later[v]).bit_count() & 1 else term
+        signed[top] = total
+    return Fraction(signed[-1], math.factorial(k))
 
 
 def planted_expectation(s: Shape, gamma: float) -> float:
     """E[T^S] under the planted model: (2*gamma)^|S| times the sign average.
 
     Only the relative order of the touched vertices matters, so the average
-    runs over |V(S)|! orderings rather than all of S_n.
+    runs over the 2^|V(S)| top sets of those vertices rather than all of S_n.
     """
     check_gamma(gamma)
     return (2.0 * gamma) ** s.num_edges * float(planted_sign_average(s))
@@ -102,26 +113,6 @@ def _check_divergence_size(n: int) -> None:
             f"exact divergences enumerate 2^(n(n-1)/2) tournaments; n={n} exceeds "
             f"the guard n <= {MAX_DIVERGENCE_N}"
         )
-
-
-def _per_bit(values: np.ndarray, matrix) -> np.ndarray:
-    """Apply the 2x2 ``matrix`` in place along every bit of the index into ``values``.
-
-    The pair (a, b), of entries whose indices differ only in that bit (clear in a),
-    becomes matrix @ (a, b).  ``values.size`` is a power of two.
-    """
-    (w, x), (y, z) = matrix
-    h = 1
-    while h < values.size:
-        pair = values.reshape(-1, 2, h)
-        pair[:, 0], pair[:, 1] = w * pair[:, 0] + x * pair[:, 1], y * pair[:, 0] + z * pair[:, 1]
-        h *= 2
-    return values
-
-
-def _ranking_histogram(n: int) -> np.ndarray:
-    """Share of the n! rankings whose tournament_code is each of the 2^m codes."""
-    return np.bincount(ranking_codes(n), minlength=2 ** edge_count(n)) / math.factorial(n)
 
 
 @functools.lru_cache(maxsize=1)
@@ -137,9 +128,14 @@ def _planted_pmf(params: ModelParams) -> np.ndarray:
     stay exactly 0.  The last result is cached read-only, so chi2_exact
     and tv_exact at the same params build it once.
     """
-    _check_divergence_size(params.n)
-    p, q = 0.5 + params.gamma, 0.5 - params.gamma
-    pmf = _per_bit(_ranking_histogram(params.n), ((p, q), (q, p)))
+    n, p, q = params.n, 0.5 + params.gamma, 0.5 - params.gamma
+    _check_divergence_size(n)
+    pmf = np.bincount(ranking_codes(n), minlength=2 ** edge_count(n)) / math.factorial(n)
+    h = 1
+    while h < pmf.size:
+        pair = pmf.reshape(-1, 2, h)
+        pair[:, 0], pair[:, 1] = p * pair[:, 0] + q * pair[:, 1], q * pair[:, 0] + p * pair[:, 1]
+        h *= 2
     pmf.setflags(write=False)
     return pmf
 
@@ -163,19 +159,23 @@ def tv_exact(params: ModelParams) -> float:
 
 
 def chi2_fourier(params: ModelParams) -> float:
-    """Chi-squared divergence as the sum of squared planted expectations.
+    """Chi-squared divergence as the sum of squared planted expectations, in closed form.
 
-    E[T^S] = (2*gamma)^|S| times the sign average of shape S over the hidden
-    rankings.  One Walsh-Hadamard transform of the rankings' code histogram
-    gives that average for every shape S (an m-bit edge mask) at once, up to
-    a sign that squaring drops.  Must agree with :func:`chi2_exact` to high
-    precision.
+    With w = 4 gamma^2, the sum over shapes S of E[T^S]^2 is E[(1 + w)^agree
+    (1 - w)^disagree] - 1 over two independent hidden rankings.  Their Kendall
+    distance has the Mahonian law, so it is the product over j <= n of
+    sum over l >= 0 of C(j, 2l + 1) / j * w^(2l), minus 1.  Factors j < 3 are 1
+    and every term is positive, so nothing cancels at small gamma.  Must agree
+    with :func:`chi2_exact` to high precision.
     """
-    n, gamma = params.n, params.gamma
+    n = params.n
     _check_divergence_size(n)
-    averages = _per_bit(_ranking_histogram(n), ((1.0, 1.0), (1.0, -1.0)))
-    weights = (2.0 * gamma) ** (2 * np.bitwise_count(np.arange(averages.size)))
-    return float(np.sum(weights[1:] * averages[1:] ** 2))
+    w = 4.0 * params.gamma**2
+    log_factors = (
+        math.log1p(sum(math.comb(j, i) / j * w ** (i - 1) for i in range(3, j + 1, 2)))
+        for j in range(3, n + 1)
+    )
+    return math.expm1(math.fsum(log_factors))
 
 
 def kl_rademacher_bound(gamma: float) -> tuple[float, float]:

@@ -24,7 +24,6 @@ from .core import (
     discordant_pairs,
     ranking_codes,
     tournament_code,
-    upper_mask,
 )
 
 __all__ = [
@@ -119,11 +118,7 @@ def max_alignment(t: Tournament) -> int:
     n = t.n
     if n > MAX_DP_N:
         raise ValueError(f"max_alignment tabulates 2^n vertex sets; n={n} exceeds {MAX_DP_N}")
-    beats = np.zeros((n, n), dtype=bool)  # beats[u, v]: u beats v
-    upper = upper_mask(n)
-    signs = t.upper_signs()
-    beats[upper] = signs > 0
-    beats.T[upper] = signs < 0
+    beats = t.to_matrix() > 0  # beats[u, v]: u beats v
     bit = np.left_shift(1, np.arange(n, dtype=np.int32))
     beaten_by = bit @ beats.astype(np.int32)
     sets = np.arange(1 << n, dtype=np.int32)

@@ -704,7 +704,7 @@ class TestRankingCodes:
         assert np.array_equal(ranking_codes(k), codes_one_edge_at_a_time(k))
 
     def test_every_edge_set_in_half_the_rankings_at_ten_items(self):
-        # The k = 10 level is the one planted_sign_average reads at MAX_SHAPE_VERTICES.
+        # The k = 10 level is the one the sign-average oracle of test_fourier reads.
         codes = ranking_codes(10)
         assert codes.shape == (math.factorial(10),)
         set_bits = int(np.bitwise_count(codes).sum(dtype=np.int64))

@@ -339,8 +339,8 @@ class TestSpectralTest:
         assert result.threshold == pytest.approx(2.1)
 
     def test_epsilon_validation(self):
-        # A bool is not a margin, nor a string, None or an array.
-        for epsilon in (0.0, -0.1, True, "0.1", None, [0.1], np.array([0.1])):
+        # A bool is not a margin, nor a string, None or an array; an infinite margin flags nothing.
+        for epsilon in (0.0, -0.1, math.inf, True, "0.1", None, [0.1], np.array([0.1])):
             with pytest.raises(ValueError):
                 spectral_test(cyclic3(), epsilon)
 

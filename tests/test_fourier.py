@@ -12,6 +12,8 @@ from tourney_lab.core import (
     Tournament,
     ranking_codes,
     sample_planted_uniform,
+    tournament_code,
+    upper_mask,
 )
 from tourney_lab.fourier import (
     MAX_SHAPE_VERTICES,
@@ -77,6 +79,39 @@ def chi2_mahonian(n: int, gamma: float) -> Fraction:
     r = (1 - w) / (1 + w)
     mahonian = math.prod(sum(r**k for k in range(j)) / j for j in range(1, n + 1))
     return (1 + w) ** math.comb(n, 2) * mahonian - 1
+
+
+def sign_average_by_codes(s: Shape) -> Fraction:
+    """Oracle sign average: enumerate the ranking codes of the k touched vertices."""
+    verts = s.vertices()
+    k = len(verts)
+    # Relabel the vertices 0..k-1; a ranking inverts edge (a, b), a < b, when its code bit is 0.
+    index = {v: i for i, v in enumerate(verts)}
+    edges = np.zeros((k, k), dtype=bool)
+    for a, b in s.edges:
+        edges[index[a], index[b]] = True
+    inverted = np.bitwise_count(~ranking_codes(k) & tournament_code(edges[upper_mask(k)]))
+    return Fraction(inverted.size - 2 * int(np.count_nonzero(inverted & 1)), inverted.size)
+
+
+def chi2_walsh_hadamard(n: int, gamma: float) -> float:
+    """Oracle chi2: the sum over shapes of squared planted expectations.
+
+    One Walsh-Hadamard transform of the rankings' code histogram gives the sign
+    average of every shape S (an m-bit edge mask) at once, up to a sign that
+    squaring drops.
+    """
+    averages = np.bincount(ranking_codes(n), minlength=2 ** math.comb(n, 2)) / math.factorial(n)
+    h = 1
+    while h < averages.size:
+        pair = averages.reshape(-1, 2, h)
+        pair[:, 0], pair[:, 1] = pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]
+        h *= 2
+    weights = (2.0 * gamma) ** (2 * np.bitwise_count(np.arange(averages.size)))
+    return float(np.sum(weights[1:] * averages[1:] ** 2))
+
+
+MAX_VERTICES_SHAPE = Shape([(0, 1), (0, 2)] + [(v, v + 1) for v in range(3, 9)])
 
 
 def random_shape(gen, n, max_edges=5) -> Shape:
@@ -150,9 +185,22 @@ class TestPlantedExpectation:
     def test_shape_on_max_vertices(self):
         # A wedge on {0, 1, 2} and the path on 3..9 touch disjoint vertices, so the
         # average factorizes: 1/3 for the wedge, -T_7 / 7! for the path.
-        s = Shape([(0, 1), (0, 2)] + [(v, v + 1) for v in range(3, 9)])
+        s = MAX_VERTICES_SHAPE
         assert len(s.vertices()) == MAX_SHAPE_VERTICES
         assert planted_sign_average(s) == Fraction(1, 3) * Fraction(-272, math.factorial(7))
+
+    def test_recurrence_matches_code_enumeration(self):
+        gen = RngStream(25).generator()
+        shapes = [random_shape(gen, 8, max_edges=12) for _ in range(150)]
+        assert max(len(s.vertices()) for s in shapes) == 8
+        assert any(planted_sign_average(s) not in (0, 1) for s in shapes)
+        for s in shapes + [MAX_VERTICES_SHAPE]:
+            assert planted_sign_average(s) == sign_average_by_codes(s), sorted(s.edges)
+
+    def test_sign_average_reads_no_ranking_codes(self):
+        ranking_codes.cache_clear()
+        planted_sign_average(MAX_VERTICES_SHAPE)
+        assert ranking_codes.cache_info().currsize == 0
 
     def test_edge_decay_bound(self):
         gen = RngStream(3).generator()
@@ -241,6 +289,20 @@ class TestDivergences:
             expected = chi2_mahonian(n, gamma)
             for value in (chi2_exact(params), chi2_fourier(params)):
                 assert abs(Fraction(value) - expected) < Fraction(1, 10**12) * expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chi2_fourier_matches_walsh_hadamard(self, n):
+        for gamma in (0.0, 0.01, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5):
+            value = chi2_fourier(ModelParams(n, gamma))
+            oracle = chi2_walsh_hadamard(n, gamma)
+            assert abs(value - oracle) <= 1e-12 * oracle, gamma
+            expected = chi2_mahonian(n, gamma)
+            assert abs(Fraction(value) - expected) <= Fraction(1, 10**12) * expected, gamma
+
+    def test_chi2_fourier_reads_no_ranking_codes(self):
+        ranking_codes.cache_clear()
+        chi2_fourier(ModelParams(6, 0.2))
+        assert ranking_codes.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_pmf_matches_enumeration(self, n):

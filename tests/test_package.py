@@ -158,15 +158,17 @@ def test_guard_flags_caches_of_more_than_one_result():
 DRAW_METHODS = ("integers", "random", "random_raw", "bytes")
 
 
-def draw_callers(source: str) -> dict:
-    """For each DRAW_METHODS name, the innermost functions that call ``x.<name>(...)``."""
-    callers = {name: set() for name in DRAW_METHODS}
+def callers_of(source: str, names: tuple) -> dict:
+    """For each name, the innermost functions that call ``x.<name>(...)`` or ``<name>(...)``."""
+    callers = {name: set() for name in names}
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in callers:
-            callers[node.func.attr].add(owner)
+        elif isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if called in callers:
+                callers[called].add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -176,7 +178,7 @@ def draw_callers(source: str) -> dict:
 
 def test_core_reads_each_draw_method_from_one_function():
     core = Path(tourney_lab.__file__).parent / "core.py"
-    callers = draw_callers(core.read_text())
+    callers = callers_of(core.read_text(), DRAW_METHODS)
     counts = {name: len(owners) for name, owners in callers.items()}
     assert counts == {"integers": 0, "random": 1, "random_raw": 0, "bytes": 0}
 
@@ -192,7 +194,7 @@ def test_guard_flags_every_caller_of_a_draw_method():
         "def three(gen):\n"
         "    return np.frombuffer(gen.bytes(8), dtype=np.uint8)\n"
     )
-    assert draw_callers(source) == {
+    assert callers_of(source, DRAW_METHODS) == {
         "integers": {"one", "two"},
         "random": {"two"},
         "random_raw": {"two"},
@@ -263,6 +265,36 @@ def test_guard_flags_every_oracle_call():
         "<source>:4: calls brute_force_mle",
         "<source>:6: calls brute_force_mle",
     ]
+
+
+# The n! ranking codes feed the exact planted pmf and the brute-force MLE oracle; sign
+# averages, chi2_fourier and the sweeps' maximum take a subset recurrence or a closed form.
+CODE_READERS = {"fourier._planted_pmf", "recovery.brute_force_mle"}
+
+
+def test_ranking_codes_read_by_the_pmf_and_the_mle_oracle_only():
+    readers = {
+        f"{path.stem}.{owner}"
+        for path in SOURCES
+        for owner in callers_of(path.read_text(), ("ranking_codes",))["ranking_codes"]
+    }
+    assert readers == CODE_READERS
+
+
+def test_guard_names_the_function_around_each_call():
+    source = (
+        "from . import core\n"
+        "from .core import ranking_codes\n"
+        "def a(k):\n"
+        "    return ranking_codes(k), core.upper_mask(k)\n"
+        "class B:\n"
+        "    def b(self, k):\n"
+        "        def inner():\n"
+        "            return core.ranking_codes(k)\n"
+        "        return inner, ranking_codes\n"
+        "CODES = ranking_codes(3)\n"
+    )
+    assert callers_of(source, ("ranking_codes",)) == {"ranking_codes": {"a", "inner", "<module>"}}
 
 
 # core decides what a bool is (as_int, as_reals); no other module asks isinstance itself.
