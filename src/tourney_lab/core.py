@@ -8,7 +8,7 @@ model is the planted one at ``gamma = 0``: every edge a fair coin flip.
 
 Both models read their coin flips from the generator in one private walker,
 ``_coin_flags``, that yields the flags of each block of whole rows, at most
-2^18 edges a block, in edge order.  A biased coin reads one double per edge;
+2^17 edges a block, in edge order.  A biased coin reads one double per edge;
 a fair one (gamma = 0) reads 48 edges from the low bits of each double, and a
 block that ends inside a double carries its unread bits into the next block,
 so a draw never depends on the blocks.  Every sampler reads a draw in these
@@ -18,7 +18,9 @@ scores equal ``sample_null(...).scores()`` and those of
 ``sample_planted_uniform``, bit for bit, while memory stays a few MiB at any
 n.  One reducer, ``_win_scores``, turns the blocks into win scores, for the
 samplers and for ``Tournament.scores`` alike, without the skew-symmetric
-matrix.
+matrix.  ``Tournament.upper_blocks`` lays the signs into the same row blocks,
+as the strict upper triangle of T in a given dtype, for a product with T that
+never builds the n x n matrix.
 
 Numbers from outside pass one rule per kind, bools refused: ``as_int`` (and
 ``check_size``) for an integer, ``as_reals`` for an array, ``check_gamma`` for
@@ -308,6 +310,29 @@ class Tournament:
         mat[upper_mask(self._n)] = self._signs
         return mat - mat.T
 
+    def upper_blocks(self, dtype) -> list:
+        """(a, b, block) per row block of the draw plan, rows a..b-1 and columns a..n-1.
+
+        ``block`` holds T_{i,j} for i < j in ``dtype`` and 0 on and below the
+        diagonal: the blocks tile the strict upper triangle U of T, so
+        T v = U v - U^T v is a product in about n^2 / 2 numbers.
+        """
+        n = self._n
+        plan = _row_blocks(n)
+        # The blocks are views of one buffer: one allocation per call, which the
+        # allocator can hand to the next call of that size.  An allocation per
+        # block had the pages returned to the system and faulted in again on
+        # every pass.
+        buffer = np.zeros(sum((b - a) * (n - a) for a, b, *_ in plan), dtype=dtype)
+        blocks, start = [], 0
+        for a, b, lo, hi in plan:
+            upper = upper_mask(n - a, b - a)
+            block = buffer[start : start + upper.size].reshape(upper.shape)
+            block[upper] = self._signs[lo:hi]
+            blocks.append((a, b, block))
+            start += upper.size
+        return blocks
+
     def scores(self) -> np.ndarray:
         """Win scores s_i = sum_k T_{i,k}: a read-only int64 array, computed on the first call."""
         if self._scores is None:
@@ -397,8 +422,9 @@ class Ranking:
 
 
 # Every reader of a draw takes it in blocks of whole rows, with at most this
-# many edges unless a single row has more.
-_BLOCK_EDGES = 1 << 18
+# many edges unless a single row has more: a float64 block of upper_blocks
+# stays near 1 MiB, which the spectral product reads twice while it is cached.
+_BLOCK_EDGES = 1 << 17
 
 
 # A sweep asks for one n many times in a row, and each draw reads the plan twice.

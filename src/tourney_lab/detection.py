@@ -6,6 +6,9 @@ models.  The spectral statistic is the largest eigenvalue of i*T, equal to
 the largest singular value of T.  It is found by Lanczos iteration on T alone
 (one matrix-vector product per step, never a full SVD), so its cost grows
 with the number of steps the top eigenvalue needs to converge, not with n^3.
+No n x n matrix is built: T v = U v - U^T v for U the strict upper triangle
+of T, held in the row blocks of ``Tournament.upper_blocks`` (about n^2 / 2
+numbers), and each block is read twice while it is cached.
 One Lanczos loop runs twice: a float32 pass, which reads T's +-1 entries
 exactly in half the bytes, only picks the start vector of a float64 pass, and
 the float64 pass decides the value.  It stops once the value has converged,
@@ -128,8 +131,28 @@ def _top_ritz_pair(betas: list[float]) -> tuple[float, float, np.ndarray]:
     return float(s[0]), float(s[1]) if s.size > 1 else 0.0, y / math.sqrt(2.0)
 
 
+class _UpperBlockProduct:
+    """The operator T of _lanczos, over the blocks of ``t.upper_blocks(dtype)``.
+
+    For block u of rows a..b-1 and columns a..n-1, T v gathers u v[a:] into
+    y[a:b] and takes v[a:b] u from y[a:], so u is read twice in a row.
+    """
+
+    def __init__(self, t: Tournament, dtype):
+        self.dtype = np.dtype(dtype)
+        self._blocks = t.upper_blocks(dtype)
+        self._n = t.n
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        y = np.zeros(self._n, dtype=self.dtype)
+        for a, b, u in self._blocks:
+            y[a:b] += u @ v[a:]
+            y[a:] -= v[a:b] @ u
+        return y
+
+
 def _lanczos(
-    mat: np.ndarray,
+    mat,
     v: np.ndarray,
     residual_tol: float,
     value_residual_tol: float,
@@ -137,6 +160,9 @@ def _lanczos(
     breakdown_tol: float,
 ) -> tuple[float, np.ndarray]:
     """Top eigenvalue of i*mat by Lanczos from the real unit vector v, in mat's dtype.
+
+    ``mat`` is any real skew-symmetric operator with ``@`` and ``dtype``: a
+    dense array or a _UpperBlockProduct.
 
     Returns the top Ritz value and the real part of its Ritz vector, scaled to
     unit norm.  The loop checks the stopping rules of _PASSES every
@@ -150,7 +176,7 @@ def _lanczos(
         if k == len(basis):
             basis = np.concatenate((basis, np.empty((min(k, n - k), n), dtype=mat.dtype)))
         basis[k] = v
-        w = mat @ v
+        w = mat @ basis[k]
         if k:
             w += beta * basis[k - 1]
         w -= (basis[: k + 1] @ w) @ basis[: k + 1]
@@ -187,7 +213,8 @@ def spectral_statistic(t: Tournament) -> float:
     so the loop runs on the real T: beta_k v_{k+1} = T v_k + beta_{k-1} v_{k-1}.
     Each new vector is reorthogonalized against all earlier ones.
 
-    Two passes run this one loop.  A float32 pass on T (whose +-1 entries
+    Two passes run this one loop, each on T's upper row blocks in its own
+    dtype, which live for that pass only.  A float32 pass on T (whose +-1 entries
     float32 holds exactly, in half the bytes) starts from a vector fixed per n
     and stops at a Ritz residual of 3e-6 of the value; it yields only the real
     part of its top Ritz vector.  A float64 pass from that vector decides the
@@ -196,11 +223,9 @@ def spectral_statistic(t: Tournament) -> float:
     value's error, below 1e-15 of it.  Both passes also stop on breakdown or
     after n steps, where the value is exact.
     """
-    skew = t.to_matrix()
     v = _fixed_start(t.n)
     for dtype, *tols in _PASSES:
-        # Each pass's matrix lives for its call only, so two are never held at once.
-        theta, v = _lanczos(skew.astype(dtype), v.astype(dtype, copy=False), *tols)
+        theta, v = _lanczos(_UpperBlockProduct(t, dtype), v, *tols)
     return theta
 
 

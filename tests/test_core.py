@@ -41,8 +41,8 @@ def random_ranking(n, gen) -> Ranking:
 
 
 # Every sampler, and Tournament.scores, walks blocks of whole rows with at most
-# 2^18 edges: 724 is the last size with a single block.
-BLOCK_SIZES = [2, 3, 724, 725, 726, 2000]
+# 2^17 edges: 512 is the last size with a single block.
+BLOCK_SIZES = [2, 3, 512, 513, 724, 725, 726, 2000]
 # A fair coin reads 48 edges a double: n = 33 has 11 * 48 edges, its neighbours 16 and 33 over.
 FAIR_SIZES = [32, 33, 34]
 
@@ -610,20 +610,40 @@ def every_draw(n) -> list:
 @pytest.mark.parametrize(
     "n, block_edges", [(40, 1), (40, 47), (40, 48), (40, 49), (33, 48), (726, 4801)]
 )
-def test_draws_do_not_depend_on_the_block_plan(monkeypatch, n, block_edges):
+def test_draws_do_not_depend_on_the_block_plan(block_plan, n, block_edges):
     expected = every_draw(n)
-    core._row_blocks.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "_BLOCK_EDGES", block_edges)
-            blocks = len(core._row_blocks(n))
-            draws = every_draw(n)
-    finally:
-        core._row_blocks.cache_clear()
-    assert blocks > len(core._row_blocks(n))
+    default_blocks = len(core._row_blocks(n))
+    block_plan(block_edges)
+    assert len(core._row_blocks(n)) > default_blocks
+    draws = every_draw(n)
     assert len(draws) == len(expected)
     for draw, reference in zip(draws, expected):
         assert np.array_equal(draw, reference)
+
+
+# Sizes and plans for the readers of a tournament's row blocks: one block, one
+# row a block (block_edges = 1), and a few rows a block.
+UPPER_BLOCK_SIZES = [1, 2, 3, 5, 64, 725, 1200]
+UPPER_BLOCK_PLANS = [None, 1, 5000]
+
+
+@pytest.mark.parametrize("block_edges", UPPER_BLOCK_PLANS)
+@pytest.mark.parametrize("n", UPPER_BLOCK_SIZES)
+def test_upper_blocks_tile_the_upper_triangle_of_to_matrix(block_plan, n, block_edges):
+    t = sample_planted_uniform(ModelParams(n, 0.1), RngStream(20, n))[1]
+    upper = np.triu(t.to_matrix(), 1)
+    block_plan(block_edges)
+    laid = np.zeros((n, n), dtype=np.int8)
+    end = 0
+    for a, b, block in t.upper_blocks(np.int8):
+        assert a == end < b and block.shape == (b - a, n - a) and block.dtype == np.int8
+        assert not np.tril(block).any()  # 0 on and below the diagonal
+        laid[a:b, a:] = block
+        end = b
+    assert end == max(n - 1, 0)
+    assert np.array_equal(laid, upper)
+    for (_, _, wide), (_, _, narrow) in zip(t.upper_blocks(np.float32), t.upper_blocks(np.int8)):
+        assert wide.dtype == np.float32 and np.array_equal(wide, narrow)
 
 
 class TestInducedTournament:

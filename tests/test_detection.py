@@ -18,6 +18,7 @@ from tourney_lab.core import (
 from tourney_lab.detection import (
     _PASSES,
     DetectionVerdict,
+    _UpperBlockProduct,
     _fixed_start,
     _lanczos,
     spectral_statistic,
@@ -274,7 +275,7 @@ class TestSpectralStatistic:
             assert abs(spectral_statistic(t) - theta) <= 1e-13 * theta
 
     def test_never_holds_two_matrices(self):
-        # The int8 and float64 matrices make 9 n^2 bytes; adding the float32 one would make 13.
+        # A dense float32 matrix beside a dense float64 one would make 12 n^2 bytes.
         n = 1200
         t = sample_null(n, RngStream(19))
         first = spectral_statistic(t)
@@ -286,6 +287,21 @@ class TestSpectralStatistic:
             tracemalloc.stop()
         assert again == first
         assert peak < 11 * n * n
+
+    def test_holds_no_dense_matrix(self):
+        # The float64 pass's upper blocks take about 4 n^2 bytes and its Lanczos
+        # basis under 2 n^2; a dense int8 matrix beside a float64 one made 9 n^2.
+        n = 1200
+        t = sample_null(n, RngStream(19))
+        first = spectral_statistic(t)
+        tracemalloc.start()
+        try:
+            again = spectral_statistic(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 7 * n * n
 
     def test_value_depends_on_tournament_only(self):
         draws = [
@@ -363,3 +379,28 @@ class TestSpectralTest:
             null_hits += not spectral_test(t_weak, eps).is_planted
         assert planted_hits >= 9
         assert null_hits >= 9
+
+
+# Sizes and plans as for Tournament.upper_blocks: one block, one row a block, a few rows a block.
+@pytest.mark.parametrize("block_edges", [None, 1, 5000])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 725, 1200])
+def test_upper_block_product_equals_the_dense_product(block_plan, n, block_edges):
+    t = sample_planted_uniform(ModelParams(n, 0.1), RngStream(21, n))[1]
+    dense = t.to_matrix().astype(np.float64)
+    block_plan(block_edges)
+    gen = RngStream(22, n).generator()
+    # Whole numbers below 2^10 in magnitude: every partial sum of n <= 2^14 of them
+    # is exact in float32 and float64, so the two products agree to the bit.
+    whole = gen.integers(-1000, 1001, n).astype(np.float64)
+    gauss = gen.standard_normal(n)
+    for dtype in (np.float32, np.float64):
+        product = _UpperBlockProduct(t, dtype)
+        assert product.dtype == dtype
+        exact = product @ whole.astype(dtype)
+        assert exact.dtype == dtype and np.array_equal(exact, dense @ whole)
+        # Any order of summing n terms is within (n - 1) eps / 2 of their absolute
+        # sum; the float64 reference adds at most as much again.
+        v = gauss.astype(dtype)
+        y = product @ v
+        reference = dense @ v.astype(np.float64)
+        assert np.all(np.abs(y - reference) <= n * np.finfo(dtype).eps * np.abs(v).sum())

@@ -313,7 +313,7 @@ class TestRunSweep:
         assert np.mean(verdicts) <= 0.10
 
     def test_detect_wedge_rows_match_tournament_draws(self, tmp_path):
-        # n = 725 takes two score blocks.
+        # n = 725 takes three score blocks.
         n, gammas, trials = 725, [0.0, 0.05], 2
         cfg = make_config(tmp_path, n_values=[n], gamma_spec=gammas, trials=trials)
         run_sweep(cfg)
@@ -559,8 +559,9 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
 
     def test_spectral_rows_independent_of_thread_count(self, tmp_path):
+        # n = 725 takes several upper row blocks in the spectral product.
         self.assert_rows_independent_of_thread_count(
-            tmp_path, experiment="detect-spectral", n_values=[9, 64], gamma_spec=[0.0, 0.2]
+            tmp_path, experiment="detect-spectral", n_values=[9, 64, 725], gamma_spec=[0.0, 0.2]
         )
 
     def test_chunked_rows_independent_of_thread_count(self, tmp_path):

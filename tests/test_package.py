@@ -267,6 +267,30 @@ def test_guard_flags_every_oracle_call():
     ]
 
 
+# spectral_statistic multiplies by T through its upper row blocks: detection
+# builds no n x n matrix.
+MATRIX_BUILDERS = ("to_matrix",)
+
+
+def test_detection_builds_no_matrix():
+    detection = Path(tourney_lab.__file__).parent / "detection.py"
+    assert named_calls(detection.read_text(), MATRIX_BUILDERS, detection.name) == []
+
+
+def test_guard_flags_every_matrix_build():
+    source = (
+        "from .core import Tournament\n"
+        "def f(t):\n"
+        "    return t.to_matrix().astype(float), t.upper_blocks(float)\n"
+        "def g(t, build=Tournament.to_matrix):\n"
+        "    return build(t), Tournament.to_matrix(t)\n"
+    )
+    assert named_calls(source, MATRIX_BUILDERS) == [
+        "<source>:3: calls to_matrix",
+        "<source>:5: calls to_matrix",
+    ]
+
+
 # The n! ranking codes feed the exact planted pmf and the brute-force MLE oracle; sign
 # averages, chi2_fourier and the sweeps' maximum take a subset recurrence or a closed form.
 CODE_READERS = {"fourier._planted_pmf", "recovery.brute_force_mle"}
