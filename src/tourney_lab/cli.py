@@ -54,7 +54,7 @@ def _run(args: argparse.Namespace) -> int:
         raw["output_path"] = args.out
     config = SweepConfig.from_dict(raw)
     result = run_sweep(config)
-    print(f"wrote {len(result.rows)} rows to {config.output_path}")
+    print(f"wrote {result.row_count} rows to {config.output_path}")
     if EXPERIMENTS[config.experiment].prints_tie_rule:
         print(f"tie rule: {TIE_RULE}")
     return EXIT_OK

@@ -225,7 +225,11 @@ def spectral_statistic(t: Tournament) -> float:
     """
     v = _fixed_start(t.n)
     for dtype, *tols in _PASSES:
-        theta, v = _lanczos(_UpperBlockProduct(t, dtype), v, *tols)
+        # The Ritz vector is copied into v, which predates every pass's blocks.
+        # A vector allocated during a pass can land above its freed blocks in
+        # the heap; then the next pass's blocks grow the heap past them, by
+        # 2.7 MiB of peak RSS at n = 1200, depending on the heap's layout.
+        theta, v[:] = _lanczos(_UpperBlockProduct(t, dtype), v, *tols)
     return theta
 
 

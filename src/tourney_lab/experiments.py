@@ -2,14 +2,15 @@
 
 A sweep enumerates (n, gamma, trial) points for one experiment, draws each
 trial from its own counter-based random stream, and writes one CSV row per
-statistic.  Output bytes depend only on the configuration, never on thread
-count or scheduling.
+statistic as each trial finishes.  Output bytes depend only on the
+configuration, never on thread count or scheduling.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import itertools
+import functools
 import json
 import math
 import os
@@ -277,17 +278,35 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    rows: tuple
+    """Where a sweep wrote its CSV, and how many rows it wrote there.
+
+    ``rows`` reads that CSV back through :func:`read_rows` on first access, so
+    it holds what the file holds then; the sweep itself never held its rows.
+    """
+
+    output_path: str
+    row_count: int
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        return tuple(read_rows(self.output_path))
 
 
-def _tasks(config: SweepConfig) -> list:
-    """(experiment, n, gamma, trial, seed, stream, epsilon) per trial, streams in that order."""
+def _points(config: SweepConfig) -> list:
+    """(n, gamma, first stream) per grid point, sorted by (n, gamma).
+
+    Streams count the trials in config order, point by point, so the order in
+    which points run changes no draw.
+    """
     points = [(n, gamma) for n in config.n_values for gamma in config.gammas_for(n)]
-    trials = itertools.product(points, range(config.trials))
-    return [
-        (config.experiment, n, gamma, trial, config.seed, stream, config.epsilon)
-        for stream, ((n, gamma), trial) in enumerate(trials)
-    ]
+    return sorted((n, gamma, i * config.trials) for i, (n, gamma) in enumerate(points))
+
+
+def _tasks(config: SweepConfig, points: list):
+    """(experiment, n, gamma, trial, seed, stream, epsilon) per trial, in the order of points."""
+    for n, gamma, first in points:
+        for trial in range(config.trials):
+            yield (config.experiment, n, gamma, trial, config.seed, first + trial, config.epsilon)
 
 
 def _trial_values(task: tuple) -> tuple:
@@ -301,40 +320,46 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
 
     ``threads`` overrides ``config.threads``; neither affects output bytes.
     Workers are capped at one per trial and per CPU; a single worker is this
-    process.  Rows are sorted by (n, gamma, trial, statistic) before writing.
+    process.  Trials run in (n, gamma, trial) order, and each trial's rows are
+    written, in statistic-name order, as it finishes, so the file comes out
+    sorted by (n, gamma, trial, statistic) and memory does not grow with the
+    number of rows.  A non-finite value raises RuntimeError mid-write, which
+    leaves an earlier file at the output path as it was.
     """
     if threads is not None:
         config = replace(config, threads=threads)
-    tasks = _tasks(config)
-    workers = min(config.threads, len(tasks), os.cpu_count() or 1)
-    if workers == 1:
-        results = [_trial_values(task) for task in tasks]
-    else:
-        # Imported here: the pool module costs every serial run about 20 ms of start-up.
-        from concurrent.futures import ProcessPoolExecutor
+    points = _points(config)
+    tasks = _tasks(config, points)
+    task_count = len(points) * config.trials
+    workers = min(config.threads, task_count, os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            results = map(_trial_values, tasks)
+        else:
+            # Imported here: the pool module costs every serial run about 20 ms of start-up.
+            from concurrent.futures import ProcessPoolExecutor
 
-        # A few chunks per worker: one round trip per task costs more than a short trial.
-        chunksize = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_values, tasks, chunksize=chunksize))
-
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # A few chunks per worker: one round trip per task costs more than a short trial.
+            results = pool.map(_trial_values, tasks, chunksize=max(1, task_count // (4 * workers)))
+        _write_csv(config.output_path, CSV_HEADER, _records(config, points, results))
+    # _records writes exactly one row per statistic of every trial, or raises.
     statistics = EXPERIMENTS[config.experiment].statistics
-    rows = []
-    for (experiment, n, gamma, trial, *_), values in zip(tasks, results):
-        for statistic, value in zip(statistics, values, strict=True):
+    return SweepResult(config.output_path, task_count * len(statistics))
+
+
+def _records(config: SweepConfig, points: list, results):
+    """CSV records of the trials of ``_tasks(config, points)``, given their values in that order."""
+    statistics = EXPERIMENTS[config.experiment].statistics
+    for (experiment, n, gamma, trial, *_), values in zip(_tasks(config, points), results):
+        for statistic, value in sorted(zip(statistics, values, strict=True)):
             if not math.isfinite(value):
                 raise RuntimeError(
                     f"non-finite value for {statistic} at n={n}, gamma={gamma}, trial={trial}"
                 )
-            rows.append(SweepRow(experiment, n, gamma, trial, statistic, float(value)))
-    rows.sort(key=lambda r: (r.n, r.gamma, r.trial, r.statistic))
-
-    records = (
-        [r.experiment, r.n, _format_float(r.gamma), r.trial, r.statistic, _format_float(r.value)]
-        for r in rows
-    )
-    _write_csv(config.output_path, CSV_HEADER, records)
-    return SweepResult(rows=tuple(rows))
+            yield [
+                experiment, n, _format_float(gamma), trial, statistic, _format_float(float(value))
+            ]
 
 
 def _format_float(x: float) -> str:
@@ -368,10 +393,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def read_rows(path) -> list:
-    """Parse a sweep CSV back into rows, checking the schema."""
+def _iter_rows(path):
+    """Parse a sweep CSV into rows one at a time, checking the schema as it goes."""
     converters = (str, int, _finite_float, int, str, _finite_float)  # one per SweepRow field
-    rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -385,10 +409,14 @@ def read_rows(path) -> list:
                     values = [convert(x) for convert, x in zip(converters, record)]
                 except ValueError as exc:
                     raise MalformedCsvError(f"line {lineno}: {exc}") from exc
-                rows.append(SweepRow._make(values))
+                yield SweepRow._make(values)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise MalformedCsvError(f"unreadable CSV: {exc}") from exc
-    return rows
+
+
+def read_rows(path) -> list:
+    """Parse a sweep CSV back into a list of rows, checking the schema."""
+    return list(_iter_rows(path))
 
 
 def summarize(result_path) -> list:
@@ -397,11 +425,11 @@ def summarize(result_path) -> list:
     Returns rows of (experiment, n, gamma, statistic, count, mean, sd,
     success_rate) where sd is the population standard deviation and
     success_rate is the fraction of non-zero values (the mean verdict for
-    0/1 statistics).
+    0/1 statistics).  Rows are folded into one list of values per group as
+    they are parsed; no list of rows is built.
     """
-    rows = read_rows(result_path)
     groups: dict = {}
-    for row in rows:
+    for row in _iter_rows(result_path):
         groups.setdefault((row.experiment, row.n, row.gamma, row.statistic), []).append(row.value)
     summary = []
     for key in sorted(groups):

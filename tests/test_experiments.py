@@ -9,6 +9,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -258,6 +259,65 @@ class TestRunSweep:
         result = run_sweep(cfg)
         keys = [(r.n, r.gamma, r.trial, r.statistic) for r in result.rows]
         assert keys == sorted(keys)
+
+    def test_sorting_the_points_keeps_their_streams(self, tmp_path):
+        # Points run in (n, gamma) order, but each trial draws from its stream
+        # in config order: point index * trials + trial.
+        n_values, gammas, trials = [8, 6], [0.4, 0.1], 3
+        cfg = make_config(tmp_path, n_values=n_values, gamma_spec=gammas, trials=trials)
+        run_sweep(cfg)
+        spec = experiments.EXPERIMENTS[cfg.experiment]
+        expected = []
+        for point, (n, gamma) in enumerate(itertools.product(n_values, gammas)):
+            for trial in range(trials):
+                rng = RngStream(cfg.seed, point * trials + trial)
+                values = spec.trial(n, gamma, rng, cfg.epsilon)
+                for statistic, value in zip(spec.statistics, values, strict=True):
+                    expected.append((n, gamma, trial, statistic, f"{value:.17g}"))
+        lines = [f"{cfg.experiment},{n},{g:.17g},{t},{s},{v}" for n, g, t, s, v in sorted(expected)]
+        assert Path(cfg.output_path).read_text() == "\n".join([",".join(CSV_HEADER), *lines]) + "\n"
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # Rows go to the file as trials finish; holding them all before one
+        # sorted write would add about 1.5 MiB between 800 and 8000 rows.
+        def peak(trials):
+            cfg = make_config(
+                tmp_path, experiment="recover", n_values=[8], gamma_spec=[0.1], trials=trials
+            )
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # warm every cache first
+        assert peak(2000) < peak(200) + 64 * 2**10
+
+    def test_non_finite_value_mid_sweep_keeps_existing_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        run_sweep(make_config(tmp_path))
+        before = out.read_bytes()
+        spec = experiments.EXPERIMENTS["detect-wedge"]
+        calls = []
+
+        def trial(n, gamma, rng, epsilon):
+            calls.append(gamma)
+            if len(calls) < 5:
+                return spec.trial(n, gamma, rng, epsilon)
+            # The write is under way: its temporary file exists.
+            assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+            return 1.0, math.nan
+
+        monkeypatch.setitem(
+            experiments.EXPERIMENTS, "detect-wedge", dataclasses.replace(spec, trial=trial)
+        )
+        message = "non-finite value for verdict at n=12, gamma=0.3, trial=1"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            run_sweep(make_config(tmp_path, seed=8))
+        assert len(calls) == 5
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         out1 = tmp_path / "a.csv"
