@@ -233,9 +233,14 @@ def spectral_statistic(t: Tournament) -> float:
     return theta
 
 
-def spectral_test(t: Tournament, epsilon: float) -> DetectionVerdict:
-    """Declare planted iff spectral_statistic / sqrt(n) >= 2 + epsilon."""
+def check_epsilon(epsilon) -> None:
+    """Refuse a spectral margin ``epsilon`` that is not a finite positive number."""
     if as_reals(epsilon, "epsilon").ndim or not 0.0 < epsilon < math.inf:  # also rejects NaN
         raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
+
+
+def spectral_test(t: Tournament, epsilon: float) -> DetectionVerdict:
+    """Declare planted iff spectral_statistic / sqrt(n) >= 2 + epsilon."""
+    check_epsilon(epsilon)
     scaled = spectral_statistic(t) / math.sqrt(t.n)
     return DetectionVerdict(scaled, 2.0 + epsilon)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -265,8 +266,7 @@ class SweepConfig:
                 raise ValueError("gamma scaling requires c > 0 and alpha in [0, 1]")
         else:
             raise ValueError("gamma_spec must be a list or a {c, alpha} object")
-        if as_reals(self.epsilon, "epsilon").ndim or not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be a finite positive number")
+        detection.check_epsilon(self.epsilon)
         spec = EXPERIMENTS[self.experiment]
         for n in n_values:
             if spec.max_n is not None and n > spec.max_n:
@@ -322,9 +322,10 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
     Workers are capped at one per trial and per CPU; a single worker is this
     process.  Trials run in (n, gamma, trial) order, and each trial's rows are
     written, in statistic-name order, as it finishes, so the file comes out
-    sorted by (n, gamma, trial, statistic) and memory does not grow with the
-    number of rows.  A non-finite value raises RuntimeError mid-write, which
-    leaves an earlier file at the output path as it was.
+    sorted by (n, gamma, trial, statistic).  A pool gets a bounded window of
+    chunks, so memory does not grow with the number of rows at any worker
+    count.  A non-finite value raises RuntimeError mid-write, which leaves an
+    earlier file at the output path as it was.
     """
     if threads is not None:
         config = replace(config, threads=threads)
@@ -340,12 +341,24 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            # A few chunks per worker: one round trip per task costs more than a short trial.
-            results = pool.map(_trial_values, tasks, chunksize=max(1, task_count // (4 * workers)))
+            # A few chunks per worker, as one round trip per task costs more than a short trial,
+            # but at most 256 tasks each: the main process holds the chunks in flight.
+            chunk = max(1, min(task_count // (4 * workers), 256))
+            results = _pooled_values(pool, tasks, chunk, 2 * workers)
         _write_csv(config.output_path, CSV_HEADER, _records(config, points, results))
     # _records writes exactly one row per statistic of every trial, or raises.
     statistics = EXPERIMENTS[config.experiment].statistics
     return SweepResult(config.output_path, task_count * len(statistics))
+
+
+def _pooled_values(pool, tasks, chunk: int, depth: int):
+    """``_trial_values`` of the tasks, in order, with at most ``depth`` chunks sent ahead."""
+    pending = []
+    for batch in iter(lambda: list(itertools.islice(tasks, chunk)), []):
+        pending.append(pool.map(_trial_values, batch, chunksize=chunk))
+        if len(pending) > depth:
+            yield from pending.pop(0)
+    yield from itertools.chain.from_iterable(pending)
 
 
 def _records(config: SweepConfig, points: list, results):

@@ -187,8 +187,6 @@ def kl_rademacher_bound(gamma: float) -> tuple[float, float]:
     check_gamma(gamma)
     if gamma >= 0.5:
         raise ValueError("gamma must lie in [0, 1/2); gamma = 1/2 diverges")
-    if gamma == 0.0:
-        return 0.0, 0.0
     p, q = 0.5 + gamma, 0.5 - gamma
     exact = p * math.log(p / q) + q * math.log(q / p)
     bound = 4.0 * gamma**2 / (0.25 - gamma**2)

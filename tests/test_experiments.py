@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
 import statistics
@@ -25,7 +26,7 @@ from tourney_lab.core import (
     sample_null,
     sample_planted_uniform,
 )
-from tourney_lab.detection import wedge_null_moments, wedge_statistic
+from tourney_lab.detection import spectral_test, wedge_null_moments, wedge_statistic
 from tourney_lab.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -50,6 +51,16 @@ def make_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     return SweepConfig.from_dict(raw)
+
+
+def traced_peak(config) -> int:
+    """The tracemalloc peak of this process over ``run_sweep(config)``."""
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def readme_experiments() -> dict:
@@ -221,6 +232,14 @@ class TestConfigValidation:
         assert not (tmp_path / "rows.csv").exists()
 
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf, True, "0.1", [0.1]])
+    def test_epsilon_refused_as_the_spectral_test_refuses_it(self, tmp_path, epsilon):
+        with pytest.raises(ValueError) as direct:
+            spectral_test(sample_null(3, RngStream(0)), epsilon)
+        with pytest.raises(ConfigError) as configured:
+            make_config(tmp_path, epsilon=epsilon)
+        assert str(configured.value) == str(direct.value)
+
     def test_numpy_integers_are_stored_as_python_ints(self, tmp_path):
         plain = make_config(tmp_path, n_values=[12, 16], output_path=str(tmp_path / "plain.csv"))
         wide = SweepConfig(
@@ -281,18 +300,22 @@ class TestRunSweep:
         # Rows go to the file as trials finish; holding them all before one
         # sorted write would add about 1.5 MiB between 800 and 8000 rows.
         def peak(trials):
-            cfg = make_config(
-                tmp_path, experiment="recover", n_values=[8], gamma_spec=[0.1], trials=trials
-            )
-            tracemalloc.start()
-            try:
-                run_sweep(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            grid = {"n_values": [8], "gamma_spec": [0.1], "trials": trials}
+            return traced_peak(make_config(tmp_path, experiment="recover", **grid))
 
         peak(20)  # warm every cache first
         assert peak(2000) < peak(200) + 64 * 2**10
+
+    def test_pooled_memory_does_not_grow_with_rows(self, tmp_path):
+        # Two workers, 3000 and 24000 rows.  The main process holds a bounded window of
+        # chunks in flight; sending every chunk, an eighth of the tasks, at once added
+        # about 2 MiB between the two.
+        def peak(trials):
+            grid = {"n_values": [3], "gamma_spec": [0.1], "trials": trials, "threads": 2}
+            return traced_peak(make_config(tmp_path, experiment="chi2-table", **grid))
+
+        peak(16)  # import the pool module and warm every cache first
+        assert peak(8000) < peak(1000) + 512 * 2**10
 
     def test_non_finite_value_mid_sweep_keeps_existing_file(self, tmp_path, monkeypatch):
         out = tmp_path / "out.csv"
@@ -316,6 +339,29 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             run_sweep(make_config(tmp_path, seed=8))
         assert len(calls) == 5
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_pooled_sweeps_leave_no_process_or_temporary_file(self, tmp_path, monkeypatch):
+        grid = {"trials": 40, "threads": 2}
+        out = tmp_path / "out.csv"
+        run_sweep(make_config(tmp_path, **grid))
+        assert multiprocessing.active_children() == []
+        before = out.read_bytes()
+        spec = experiments.EXPERIMENTS["detect-wedge"]
+
+        def trial(n, gamma, rng, epsilon):
+            values = spec.trial(n, gamma, rng, epsilon)
+            return (values[0], math.nan) if rng.stream_index == 50 else values
+
+        # The workers are forked after this patch, so they run the failing trial too.
+        monkeypatch.setitem(
+            experiments.EXPERIMENTS, "detect-wedge", dataclasses.replace(spec, trial=trial)
+        )
+        message = "non-finite value for verdict at n=12, gamma=0.3, trial=10"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            run_sweep(make_config(tmp_path, **grid))
+        assert multiprocessing.active_children() == []
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 

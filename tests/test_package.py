@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import inspect
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -374,16 +376,61 @@ def test_all_names_are_defined_in_their_module():
         assert missing == set(), path.name
 
 
+def root_layout_errors(source: str, modules: list, name: str = "<source>") -> list:
+    """What a package root holds besides its docstring, ``__version__`` and exactly one
+    ``from .m import *`` per module ``m`` in ``modules``.
+    """
+    hits, starred = [], []
+    for index, node in enumerate(ast.parse(source, filename=name).body):
+        if index == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.names[0].name == "*":
+            starred.append(node.module)
+        elif isinstance(node, ast.Assign) and [*map(ast.unparse, node.targets)] == ["__version__"]:
+            continue
+        else:
+            hits.append(f"{name}:{node.lineno}: binds more than a re-export")
+    extra, missing = Counter(starred) - Counter(modules), Counter(modules) - Counter(starred)
+    hits += [f"{name}: an extra wildcard import of .{module}" for module in sorted(extra)]
+    hits += [f"{name}: no wildcard import of .{module}" for module in sorted(missing)]
+    return hits
+
+
 def test_root_reexports_exactly_the_module_exports():
-    init = Path(tourney_lab.__file__).read_text()
-    reexports = {}
-    for node in ast.parse(init).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            reexports.setdefault(node.module, set()).update(alias.name for alias in node.names)
-    expected = {
-        name: set(importlib.import_module(f"tourney_lab.{name}").__all__) for name in REEXPORTED
+    init = Path(tourney_lab.__file__)
+    assert root_layout_errors(init.read_text(), REEXPORTED, init.name) == []
+    exports = [
+        (name, getattr(module, name))
+        for module in map(importlib.import_module, (f"tourney_lab.{m}" for m in REEXPORTED))
+        for name in module.__all__
+    ]
+    public = {
+        name: value
+        for name, value in vars(tourney_lab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert reexports == expected
+    assert len(dict(exports)) == len(exports)  # no module shadows another's name
+    assert public == dict(exports)
+
+
+def test_guard_flags_all_but_one_wildcard_per_module():
+    header = '"""Doc."""\nfrom .core import *\n'
+    assert root_layout_errors(header + "__version__ = '1'\n", ["core"]) == []
+    source = (
+        header
+        + "from .core import Ranking\n"
+        + "from .core import *\n"
+        + "from .experiments import *\n"
+        + "def helper(): ...\n"
+        + "__version__ = '1'\n"
+    )
+    assert root_layout_errors(source, ["core", "detection"]) == [
+        "<source>:3: binds more than a re-export",
+        "<source>:6: binds more than a re-export",
+        "<source>: an extra wildcard import of .core",
+        "<source>: an extra wildcard import of .experiments",
+        "<source>: no wildcard import of .detection",
+    ]
 
 
 def undeclared_imports(source: str, dependencies: list) -> list:
