@@ -224,7 +224,8 @@ class ModelParams:
     """Planted model parameters: size ``n`` and edge bias ``gamma``.
 
     ``gamma = 0`` is the null model (uniform tournament); ``gamma = 1/2``
-    orients every edge consistently with the hidden ranking.
+    orients every edge consistently with the hidden ranking.  ``n`` is stored
+    as a Python int and ``gamma`` as a Python float.
     """
 
     n: int
@@ -233,6 +234,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_size(self.n))
         check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", float(self.gamma))
 
 
 class Tournament:

@@ -186,8 +186,8 @@ class SweepConfig:
     ``epsilon`` is the spectral test margin (spectral detection only).
     Every construction, ``dataclasses.replace`` included, freezes the grid
     (lists become tuples, the rule a read-only mapping), stores its integers
-    as Python ints, validates the config and raises :class:`ConfigError` if
-    it is invalid.
+    as Python ints and ``epsilon`` as a Python float, validates the config
+    and raises :class:`ConfigError` if it is invalid.
     """
 
     experiment: str
@@ -210,6 +210,7 @@ class SweepConfig:
             elif isinstance(self.gamma_spec, Mapping):
                 object.__setattr__(self, "gamma_spec", MappingProxyType(dict(self.gamma_spec)))
             self.validate()
+            object.__setattr__(self, "epsilon", float(self.epsilon))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -292,19 +293,14 @@ class SweepResult:
         return tuple(read_rows(self.output_path))
 
 
-def _points(config: SweepConfig) -> list:
-    """(n, gamma, first stream) per grid point, sorted by (n, gamma).
+def _tasks(config: SweepConfig):
+    """(experiment, n, gamma, trial, seed, stream, epsilon) per trial, sorted by (n, gamma, trial).
 
     Streams count the trials in config order, point by point, so the order in
     which points run changes no draw.
     """
     points = [(n, gamma) for n in config.n_values for gamma in config.gammas_for(n)]
-    return sorted((n, gamma, i * config.trials) for i, (n, gamma) in enumerate(points))
-
-
-def _tasks(config: SweepConfig, points: list):
-    """(experiment, n, gamma, trial, seed, stream, epsilon) per trial, in the order of points."""
-    for n, gamma, first in points:
+    for n, gamma, first in sorted((n, g, i * config.trials) for i, (n, g) in enumerate(points)):
         for trial in range(config.trials):
             yield (config.experiment, n, gamma, trial, config.seed, first + trial, config.epsilon)
 
@@ -320,22 +316,23 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
 
     ``threads`` overrides ``config.threads``; neither affects output bytes.
     Workers are capped at one per trial and per CPU; a single worker is this
-    process.  Trials run in (n, gamma, trial) order, and each trial's rows are
-    written, in statistic-name order, as it finishes, so the file comes out
-    sorted by (n, gamma, trial, statistic).  A pool gets a bounded window of
-    chunks, so memory does not grow with the number of rows at any worker
-    count.  A non-finite value raises RuntimeError mid-write, which leaves an
+    process.  A sweep is one stream of (task, values) pairs in (n, gamma,
+    trial) order; each trial's rows, labelled from its own task, are written
+    in statistic-name order as it finishes, so the file comes out sorted by
+    (n, gamma, trial, statistic).  A pool holds a bounded window of chunks,
+    so memory does not grow with the number of rows.  A non-finite value, or a
+    pool that returns fewer values than tasks, raises mid-write and leaves an
     earlier file at the output path as it was.
     """
     if threads is not None:
         config = replace(config, threads=threads)
-    points = _points(config)
-    tasks = _tasks(config, points)
-    task_count = len(points) * config.trials
+    tasks = _tasks(config)
+    task_count = config.trials * sum(len(config.gammas_for(n)) for n in config.n_values)
     workers = min(config.threads, task_count, os.cpu_count() or 1)
+    statistics = EXPERIMENTS[config.experiment].statistics
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            results = map(_trial_values, tasks)
+            pairs = ((task, _trial_values(task)) for task in tasks)
         else:
             # Imported here: the pool module costs every serial run about 20 ms of start-up.
             from concurrent.futures import ProcessPoolExecutor
@@ -344,27 +341,25 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
             # A few chunks per worker, as one round trip per task costs more than a short trial,
             # but at most 256 tasks each: the main process holds the chunks in flight.
             chunk = max(1, min(task_count // (4 * workers), 256))
-            results = _pooled_values(pool, tasks, chunk, 2 * workers)
-        _write_csv(config.output_path, CSV_HEADER, _records(config, points, results))
+            pairs = _pooled_values(pool, tasks, chunk, 2 * workers)
+        _write_csv(config.output_path, CSV_HEADER, _records(statistics, pairs))
     # _records writes exactly one row per statistic of every trial, or raises.
-    statistics = EXPERIMENTS[config.experiment].statistics
     return SweepResult(config.output_path, task_count * len(statistics))
 
 
 def _pooled_values(pool, tasks, chunk: int, depth: int):
-    """``_trial_values`` of the tasks, in order, with at most ``depth`` chunks sent ahead."""
+    """(task, values) per task, in order, with at most ``depth`` chunks sent ahead."""
     pending = []
     for batch in iter(lambda: list(itertools.islice(tasks, chunk)), []):
-        pending.append(pool.map(_trial_values, batch, chunksize=chunk))
+        pending.append(zip(batch, pool.map(_trial_values, batch, chunksize=chunk), strict=True))
         if len(pending) > depth:
             yield from pending.pop(0)
     yield from itertools.chain.from_iterable(pending)
 
 
-def _records(config: SweepConfig, points: list, results):
-    """CSV records of the trials of ``_tasks(config, points)``, given their values in that order."""
-    statistics = EXPERIMENTS[config.experiment].statistics
-    for (experiment, n, gamma, trial, *_), values in zip(_tasks(config, points), results):
+def _records(statistics: tuple, pairs):
+    """CSV records of each (task, values) pair, in statistic-name order."""
+    for (experiment, n, gamma, trial, *_), values in pairs:
         for statistic, value in sorted(zip(statistics, values, strict=True)):
             if not math.isfinite(value):
                 raise RuntimeError(
@@ -473,10 +468,9 @@ def load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config is not UTF-8 JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ConfigError("config JSON is nested too deeply") from exc
+        # Bad bytes or syntax, an integer past Python's digit limit, or nesting past its stack.
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config is not UTF-8 JSON that Python can parse: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw

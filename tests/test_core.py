@@ -25,8 +25,14 @@ from tourney_lab.core import (
     tournament_code,
     upper_mask,
 )
-from tourney_lab.detection import wedge_from_scores, wedge_null_moments, wedge_test
+from tourney_lab.detection import (
+    wedge_from_scores,
+    wedge_null_moments,
+    wedge_planted_mean,
+    wedge_test,
+)
 from tourney_lab.experiments import SweepConfig
+from tourney_lab.fourier import recovery_lower_bound
 from tourney_lab.recovery import concavity_check, pessimistic_error_statistic
 from tourney_lab.spectral import build_A, closed_form_eigenpair, closed_form_eigenvalue
 
@@ -477,6 +483,15 @@ class TestSamplePlanted:
         pi, scores = sample_planted_scores(ModelParams(n, 0.1), RngStream(3))
         expected_pi, expected = sample_planted_scores(ModelParams(5, 0.1), RngStream(3))
         assert pi == expected_pi and np.array_equal(scores, expected)
+
+    @pytest.mark.parametrize("gamma", [np.float32(0.1), np.float16(0.2), np.int64(0), 0])
+    def test_params_store_gamma_as_python_float(self, gamma):
+        # A float32 gamma once took wedge_planted_mean(n = 50) to np.float32(784.00006).
+        params, plain = ModelParams(50, gamma), ModelParams(50, float(gamma))
+        assert type(params.gamma) is float
+        for derived in (wedge_planted_mean, recovery_lower_bound):
+            assert type(derived(params)) is float
+            assert derived(params) == derived(plain)
 
 
 class TestSamplePlantedUniform:

@@ -261,6 +261,17 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="too large"):
                 SweepConfig("detect-wedge", [np.int64(4_000_000_000)], [0.1], 1, 1)
 
+    def test_numpy_float_epsilon_is_stored_as_python_float(self, tmp_path):
+        grid = {"experiment": "detect-spectral", "n_values": [9, 4], "gamma_spec": [0.3, 0.0]}
+        plain = make_config(tmp_path, epsilon=float(np.float32(0.1)), **grid)
+        wide_path = tmp_path / "wide.csv"
+        wide = dataclasses.replace(plain, epsilon=np.float32(0.1), output_path=str(wide_path))
+        assert type(wide.epsilon) is float
+        assert type(spectral_test(sample_null(4, RngStream(0)), wide.epsilon).threshold) is float
+        run_sweep(wide)
+        run_sweep(plain)
+        assert wide_path.read_bytes() == Path(plain.output_path).read_bytes()
+
 
 class TestRunSweep:
     def test_row_count_and_schema(self, tmp_path):
@@ -400,6 +411,28 @@ class TestRunSweep:
         run_sweep(serial)
         assert built == pools
         assert Path(wide.output_path).read_bytes() == Path(serial.output_path).read_bytes()
+
+    def test_short_result_stream_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        class DroppingPool:
+            """An in-process pool whose map loses the last value of every call."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks[:-1])
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DroppingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="shorter"):
+            run_sweep(make_config(tmp_path, threads=2, trials=10))
+        assert list(tmp_path.iterdir()) == []
 
     def test_reruns_are_identical(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -664,6 +697,13 @@ class TestCli:
         assert main(["run", "--config", str(config), "--out", str(b), "--threads", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("experiment", sorted(experiments.EXPERIMENTS))
+    def test_rows_independent_of_thread_count(self, tmp_path, experiment):
+        # An unsorted grid within every experiment's limits.
+        self.assert_rows_independent_of_thread_count(
+            tmp_path, experiment=experiment, n_values=[6, 4], gamma_spec=[0.2, 0.05]
+        )
+
     def test_spectral_rows_independent_of_thread_count(self, tmp_path):
         # n = 725 takes several upper row blocks in the spectral product.
         self.assert_rows_independent_of_thread_count(
@@ -699,6 +739,15 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_bytes(content)
         assert main(["run", "--config", str(path)]) == 2
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python refuses to parse an integer literal of more than 4300 digits; negative, so
+        # that a run with the limit lifted is refused too, rather than running forever.
+        config = self.write_config(tmp_path)
+        config.write_text(config.read_text().replace('"trials": 2', '"trials": -' + "9" * 5000))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 3
