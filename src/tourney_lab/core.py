@@ -22,9 +22,10 @@ matrix.  ``Tournament.upper_blocks`` lays the signs into the same row blocks,
 as the strict upper triangle of T in a given dtype, for a product with T that
 never builds the n x n matrix.
 
-Numbers from outside pass one rule per kind, bools refused: ``as_int`` (and
-``check_size``) for an integer, ``as_reals`` for an array, ``check_gamma`` for
-a model's gamma.  Library arguments and sweep configs alike go through them.
+Numbers from outside pass one rule per kind, bools refused, each returning
+the value it accepted: ``as_int`` (and ``check_size``) a Python int,
+``as_reals`` a real array, ``check_gamma`` a model's gamma as a Python float.
+Library arguments and sweep configs alike keep only what these return.
 ``Tournament(n, signs)`` and ``Ranking(ranks)`` check their input; ``_adopt``
 wraps an array just built.
 """
@@ -211,12 +212,13 @@ def _vertex_pair(n: int, i, j) -> tuple[int, int]:
     return i, j
 
 
-def check_gamma(gamma) -> None:
-    """Refuse a ``gamma`` that is not a real number in [0, 1/2]."""
+def check_gamma(gamma) -> float:
+    """``gamma`` as a Python float, checked to be a real number (not a bool) in [0, 1/2]."""
     # Check the kind before comparing: refuse bools, strings, None and arrays.
     value = np.asarray(gamma)
     if value.ndim or value.dtype.kind not in "iuf" or not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma must be a number in [0, 1/2], got {gamma!r}")
+    return float(gamma)
 
 
 @dataclass(frozen=True)
@@ -233,8 +235,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_size(self.n))
-        check_gamma(self.gamma)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", check_gamma(self.gamma))
 
 
 class Tournament:

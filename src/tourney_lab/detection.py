@@ -233,14 +233,14 @@ def spectral_statistic(t: Tournament) -> float:
     return theta
 
 
-def check_epsilon(epsilon) -> None:
-    """Refuse a spectral margin ``epsilon`` that is not a finite positive number."""
+def check_epsilon(epsilon) -> float:
+    """Spectral margin ``epsilon`` as a Python float, checked to be finite and positive."""
     if as_reals(epsilon, "epsilon").ndim or not 0.0 < epsilon < math.inf:  # also rejects NaN
         raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
+    return float(epsilon)
 
 
 def spectral_test(t: Tournament, epsilon: float) -> DetectionVerdict:
     """Declare planted iff spectral_statistic / sqrt(n) >= 2 + epsilon."""
-    check_epsilon(epsilon)
-    scaled = spectral_statistic(t) / math.sqrt(t.n)
-    return DetectionVerdict(scaled, 2.0 + epsilon)
+    threshold = 2.0 + check_epsilon(epsilon)
+    return DetectionVerdict(spectral_statistic(t) / math.sqrt(t.n), threshold)

@@ -209,8 +209,8 @@ class SweepConfig:
                 object.__setattr__(self, "gamma_spec", tuple(self.gamma_spec))
             elif isinstance(self.gamma_spec, Mapping):
                 object.__setattr__(self, "gamma_spec", MappingProxyType(dict(self.gamma_spec)))
+            object.__setattr__(self, "epsilon", detection.check_epsilon(self.epsilon))
             self.validate()
-            object.__setattr__(self, "epsilon", float(self.epsilon))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -267,7 +267,6 @@ class SweepConfig:
                 raise ValueError("gamma scaling requires c > 0 and alpha in [0, 1]")
         else:
             raise ValueError("gamma_spec must be a list or a {c, alpha} object")
-        detection.check_epsilon(self.epsilon)
         spec = EXPERIMENTS[self.experiment]
         for n in n_values:
             if spec.max_n is not None and n > spec.max_n:

@@ -103,8 +103,7 @@ def planted_expectation(s: Shape, gamma: float) -> float:
     Only the relative order of the touched vertices matters, so the average
     runs over the 2^|V(S)| top sets of those vertices rather than all of S_n.
     """
-    check_gamma(gamma)
-    return (2.0 * gamma) ** s.num_edges * float(planted_sign_average(s))
+    return (2.0 * check_gamma(gamma)) ** s.num_edges * float(planted_sign_average(s))
 
 
 def _check_divergence_size(n: int) -> None:
@@ -184,7 +183,7 @@ def kl_rademacher_bound(gamma: float) -> tuple[float, float]:
     Returns (exact value, upper bound 4*gamma^2 / (1/4 - gamma^2)); the
     exact value never exceeds the bound on [0, 1/2).
     """
-    check_gamma(gamma)
+    gamma = check_gamma(gamma)
     if gamma >= 0.5:
         raise ValueError("gamma must lie in [0, 1/2); gamma = 1/2 diverges")
     p, q = 0.5 + gamma, 0.5 - gamma

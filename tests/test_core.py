@@ -589,6 +589,17 @@ class TestScoreSamplers:
         with pytest.raises(ValueError):
             sample_null_scores(0, RngStream(0))
 
+    def test_null_draw_at_ten_thousand_stays_small(self):
+        # README puts this peak at about 0.7 MiB; the edge flags alone would take 50 MB.
+        tracemalloc.start()
+        try:
+            scores = sample_null_scores(10_000, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert scores.sum() == 0 and np.all((scores - 9_999) % 2 == 0)
+
     def test_planted_draw_at_ten_thousand_stays_small(self):
         # The tournament would hold 50 million edges: 400 MB of uniforms alone.
         tracemalloc.start()

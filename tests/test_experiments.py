@@ -268,6 +268,8 @@ class TestConfigValidation:
         wide = dataclasses.replace(plain, epsilon=np.float32(0.1), output_path=str(wide_path))
         assert type(wide.epsilon) is float
         assert type(spectral_test(sample_null(4, RngStream(0)), wide.epsilon).threshold) is float
+        direct = spectral_test(sample_null(4, RngStream(0)), np.float32(0.1))
+        assert type(direct.threshold) is float and direct.threshold == 2.0 + float(np.float32(0.1))
         run_sweep(wide)
         run_sweep(plain)
         assert wide_path.read_bytes() == Path(plain.output_path).read_bytes()

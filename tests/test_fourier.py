@@ -417,6 +417,20 @@ def test_every_entry_point_rejects_a_bad_gamma_alike(entry, gamma):
     assert str(raised.value) == f"gamma must be a number in [0, 1/2], got {gamma!r}"
 
 
+@pytest.mark.parametrize("gamma", [np.float32(0.25), np.float16(0.25), np.int64(0)])
+@pytest.mark.parametrize("entry", list(GAMMA_ENTRY_POINTS))
+def test_every_entry_point_computes_with_a_python_float_gamma(entry, gamma):
+    def outputs(gamma) -> tuple:
+        out = GAMMA_ENTRY_POINTS[entry](gamma)
+        if isinstance(out, ModelParams):
+            return (out.gamma,)
+        return out if isinstance(out, tuple) else (out,)
+
+    got, want = outputs(gamma), outputs(float(gamma))
+    assert [type(x) for x in got] == [float] * len(want)
+    assert got == want
+
+
 class TestKlRademacher:
     def test_zero(self):
         assert kl_rademacher_bound(0.0) == (0.0, 0.0)
