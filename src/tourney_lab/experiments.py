@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import detection, fourier, recovery, spectral
+from . import detection, fourier, recovery
 from .core import (
     ModelParams,
     RngStream,
@@ -126,18 +126,6 @@ def _chi2_table(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
     return fourier.chi2_exact(params), fourier.chi2_fourier(params), fourier.tv_exact(params)
 
 
-def _spectrum_verify(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
-    a_matrix = spectral.build_A(n)
-    vecs = np.empty((n, n), dtype=np.complex128)
-    lams = np.empty(n)
-    for i in range(1, n + 1):
-        lams[i - 1], vecs[:, i - 1] = spectral.closed_form_eigenpair(n, i)
-    residuals = np.linalg.norm(a_matrix @ vecs - vecs * lams[None, :], axis=0)
-    gram = vecs.conj().T @ vecs
-    np.fill_diagonal(gram, 0.0)
-    return residuals.max(), np.abs(gram).max()
-
-
 @dataclass(frozen=True)
 class Experiment:
     """An experiment: ``trial(n, gamma, rng, epsilon)`` returns one value per name
@@ -170,9 +158,6 @@ EXPERIMENTS = {
     ),
     "chi2-table": Experiment(
         ("chi2_exact", "chi2_fourier", "tv_exact"), _chi2_table, max_n=fourier.MAX_DIVERGENCE_N
-    ),
-    "spectrum-verify": Experiment(
-        ("max_eigen_residual", "max_offdiag_inner_product"), _spectrum_verify, max_n=1024
     ),
 }
 

@@ -398,6 +398,11 @@ class TestSampleNull:
         with pytest.raises(ValueError):
             sample_null_scores(n, RngStream(1))
 
+    def test_rng_of_another_type_rejected(self):
+        for sampler in (sample_null, sample_null_scores):
+            with pytest.raises(TypeError, match="expected RngStream or numpy Generator"):
+                sampler(4, 7)
+
     def test_determinism(self):
         a = sample_null(20, RngStream(99, 5))
         b = sample_null(20, RngStream(99, 5))

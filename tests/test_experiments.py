@@ -141,6 +141,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"experiment": "recover"})
 
+    def test_non_object_refused(self):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            SweepConfig.from_dict([])
+
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError):
             SweepConfig("detect-wedge", (10,), [0.1], 0, 1)
@@ -213,6 +217,9 @@ class TestConfigValidation:
             {"gamma_spec": {"c": [1, 2], "alpha": [3, 4]}},
             {"gamma_spec": {"c": [1], "alpha": 0.5}},
             {"gamma_spec": {"alpha": 1.5, "c": 0.5}},  # read by key, not in JSON order
+            {"gamma_spec": 0.1},
+            {"gamma_spec": None},
+            {"gamma_spec": "0.1"},
         ],
         ids=json.dumps,
     )
@@ -542,15 +549,6 @@ class TestRunSweep:
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
-    def test_spectrum_verify(self, tmp_path):
-        cfg = make_config(
-            tmp_path, experiment="spectrum-verify", n_values=[16], gamma_spec=[0.0], trials=1
-        )
-        result = run_sweep(cfg)
-        values = {r.statistic: r.value for r in result.rows}
-        assert values["max_eigen_residual"] <= 1e-9 * 16
-        assert values["max_offdiag_inner_product"] <= 1e-8 * 16
-
     def test_detect_spectral(self, tmp_path):
         cfg = make_config(
             tmp_path, experiment="detect-spectral", n_values=[32], gamma_spec=[0.0], trials=3
@@ -723,9 +721,13 @@ class TestCli:
         assert main(["run", "--config", str(config), "--threads", "0"]) == 2
         assert not (tmp_path / "rows.csv").exists()
 
-    def test_config_error_exit_code(self, tmp_path):
-        config = self.write_config(tmp_path, experiment="nope")
+    @pytest.mark.parametrize("experiment", ["nope", "spectrum-verify"])
+    def test_config_error_exit_code(self, tmp_path, capsys, experiment):
+        config = self.write_config(tmp_path, experiment=experiment)
         assert main(["run", "--config", str(config)]) == 2
+        assert not (tmp_path / "rows.csv").exists()
+        choices = "['chi2-table', 'detect-spectral', 'detect-wedge', 'mle-compare', 'recover']"
+        assert f"choose from {choices}\n" in capsys.readouterr().err
 
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -766,6 +768,14 @@ class TestCli:
         code = main(["summarize", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
+    def test_short_row_is_io_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_HEADER) + "\nrecover,10,0.1,0,kendall_error\n")
+        with pytest.raises(MalformedCsvError, match="line 2: expected 6 fields"):
+            summarize(bad)
+        assert main(["summarize", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == 3
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize(
         "field", [b"kendall_error\xff", b"x" * 200_000], ids=["not-utf8", "oversized-field"]
     )
@@ -778,9 +788,13 @@ class TestCli:
         assert code == 3
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("experiment, prints", [("detect-wedge", False), ("recover", True)])
+    @pytest.mark.parametrize(
+        "experiment, prints",
+        [(name, name in ("recover", "mle-compare")) for name in sorted(experiments.EXPERIMENTS)],
+    )
     def test_tie_rule_printed_for_ranking_experiments(self, tmp_path, capsys, experiment, prints):
-        config = self.write_config(tmp_path, experiment=experiment, gamma_spec=[0.1])
+        # n = 6 is within every experiment's limits.
+        config = self.write_config(tmp_path, experiment=experiment, n_values=[6], gamma_spec=[0.1])
         assert main(["run", "--config", str(config)]) == 0
         assert ("tie rule:" in capsys.readouterr().out) == prints
 

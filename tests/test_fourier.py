@@ -463,3 +463,7 @@ class TestRecoveryLowerBound:
             for gamma in np.linspace(0.0, 0.45, 10):
                 bound = recovery_lower_bound(ModelParams(n, float(gamma)))
                 assert bound <= 0.5 * math.comb(n, 2) + 1e-12
+
+    def test_half_rejected(self):
+        with pytest.raises(ValueError, match="gamma < 1/2"):
+            recovery_lower_bound(ModelParams(4, 0.5))
