@@ -278,11 +278,6 @@ class Tournament:
         t._scores = None
         return t
 
-    @classmethod
-    def from_upper_signs(cls, n: int, signs: np.ndarray) -> "Tournament":
-        """Build from the length n(n-1)/2 array of +-1 upper-triangle signs."""
-        return cls(n, signs)
-
     @property
     def n(self) -> int:
         return self._n
@@ -470,21 +465,21 @@ def _coin_flags(n: int, gamma: float, gen: np.random.Generator):
         uniforms = np.empty(widest)
         for *_, lo, hi in plan:
             yield gen.random(out=uniforms[: hi - lo]) < (0.5 + gamma)
-        return
-    # Slot 0 carries the last double of the block before; slots 1.. take the new ones.
-    doubles = np.empty(-(-widest // _FAIR_BITS) + 1)
-    words = np.empty(doubles.size, dtype="<u8")
-    low_bytes = words.view(np.uint8).reshape(-1, 8)[:, : _FAIR_BITS // 8]
-    for *_, lo, hi in plan:
-        done, stop = -(-lo // _FAIR_BITS), -(-hi // _FAIR_BITS)  # doubles read before, after
-        new = slice(1, 1 + stop - done)
-        gen.random(out=doubles[new])
-        np.multiply(doubles[new], 2.0**53, out=words[new], casting="unsafe")
-        bits = np.unpackbits(low_bytes[: new.stop], axis=1, bitorder="little")
-        bits = bits.view(bool).reshape(-1)
-        first = lo - _FAIR_BITS * (done - 1)  # bit of lo; slot 0 when lo is inside a double
-        words[0] = words[new.stop - 1]
-        yield bits[first : first + hi - lo]
+    else:
+        # Slot 0 carries the last double of the block before; slots 1.. take the new ones.
+        doubles = np.empty(-(-widest // _FAIR_BITS) + 1)
+        words = np.empty(doubles.size, dtype="<u8")
+        low_bytes = words.view(np.uint8).reshape(-1, 8)[:, : _FAIR_BITS // 8]
+        for *_, lo, hi in plan:
+            done, stop = -(-lo // _FAIR_BITS), -(-hi // _FAIR_BITS)  # doubles read before, after
+            new = slice(1, 1 + stop - done)
+            gen.random(out=doubles[new])
+            np.multiply(doubles[new], 2.0**53, out=words[new], casting="unsafe")
+            bits = np.unpackbits(low_bytes[: new.stop], axis=1, bitorder="little")
+            bits = bits.view(bool).reshape(-1)
+            first = lo - _FAIR_BITS * (done - 1)  # bit of lo; slot 0 when lo is inside a double
+            words[0] = words[new.stop - 1]
+            yield bits[first : first + hi - lo]
 
 
 def _win_scores(n: int, flags, ranks: np.ndarray | None = None) -> np.ndarray:

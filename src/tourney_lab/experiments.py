@@ -76,29 +76,27 @@ class SweepRow(NamedTuple):
 CSV_HEADER = list(SweepRow._fields)
 
 
-def _draw_tournament(n: int, gamma: float, rng: RngStream):
-    if gamma == 0.0:
-        return sample_null(n, rng)
-    _, t = sample_planted_uniform(ModelParams(n, gamma), rng)
-    return t
+def _draw(n: int, gamma: float, rng: RngStream, null: Callable, planted: Callable):
+    """``null(n, rng)`` at gamma = 0, else ``planted``'s draw without its hidden ranking.
 
-
-def _draw_scores(n: int, gamma: float, rng: RngStream):
-    """Win scores of the _draw_tournament draw, from the same stream."""
+    Both detection experiments draw here, one with the Tournament samplers and
+    one with the score samplers, so a task reads one tournament in both.
+    """
     if gamma == 0.0:
-        return sample_null_scores(n, rng)
-    _, scores = sample_planted_scores(ModelParams(n, gamma), rng)
-    return scores
+        return null(n, rng)
+    return planted(ModelParams(n, gamma), rng)[1]
 
 
 def _detect_wedge(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
-    f = detection.wedge_from_scores(_draw_scores(n, gamma, rng))
+    scores = _draw(n, gamma, rng, sample_null_scores, sample_planted_scores)
+    f = detection.wedge_from_scores(scores)
     cutoff = WEDGE_NULL_SDS * math.sqrt(detection.wedge_null_moments(n)[1])
     return f, 1.0 if f >= cutoff else 0.0
 
 
 def _detect_spectral(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
-    test = detection.spectral_test(_draw_tournament(n, gamma, rng), epsilon)
+    t = _draw(n, gamma, rng, sample_null, sample_planted_uniform)
+    test = detection.spectral_test(t, epsilon)
     return test.statistic_value, float(test.is_planted)
 
 
@@ -232,8 +230,8 @@ class SweepConfig:
         if not isinstance(n_values, tuple) or not n_values or len(set(n_values)) < len(n_values):
             raise ValueError("n_values must be a non-empty list of distinct integers")
         for n in n_values:
-            if n < 2:
-                raise ValueError("every n must be at least 2")
+            if n < 3:  # two vertices have one edge and no wedge
+                raise ValueError("every n must be at least 3")
             if n * n > np.iinfo(np.intp).max:
                 raise ValueError(f"n={n} is too large for an n x n array")
         if isinstance(self.gamma_spec, tuple):
@@ -265,8 +263,8 @@ class SweepConfig:
 class SweepResult:
     """Where a sweep wrote its CSV, and how many rows it wrote there.
 
-    ``rows`` reads that CSV back through :func:`read_rows` on first access, so
-    it holds what the file holds then; the sweep itself never held its rows.
+    ``rows`` parses that CSV back, checking its schema, on first access, so it
+    holds what the file holds then; the sweep itself never held its rows.
     """
 
     output_path: str
@@ -274,7 +272,7 @@ class SweepResult:
 
     @functools.cached_property
     def rows(self) -> tuple:
-        return tuple(read_rows(self.output_path))
+        return tuple(_iter_rows(self.output_path))
 
 
 def _tasks(config: SweepConfig):
@@ -404,11 +402,6 @@ def _iter_rows(path):
                 yield SweepRow._make(values)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise MalformedCsvError(f"unreadable CSV: {exc}") from exc
-
-
-def read_rows(path) -> list:
-    """Parse a sweep CSV back into a list of rows, checking the schema."""
-    return list(_iter_rows(path))
 
 
 def summarize(result_path) -> list:

@@ -99,7 +99,7 @@ def test_criterion_2_wedge_moments():
     probs = []
     gamma = 0.25
     for upper in itertools.product((-1, 1), repeat=3):
-        t = Tournament.from_upper_signs(3, np.array(upper))
+        t = Tournament(3, np.array(upper))
         values.append(wedge_statistic(t))
         prob = 0.0
         for perm in itertools.permutations((1, 2, 3)):

@@ -39,7 +39,7 @@ from tourney_lab.spectral import build_A, closed_form_eigenpair, closed_form_eig
 
 def cyclic3() -> Tournament:
     # 1 beats 2, 2 beats 3, 3 beats 1 (0-based edges (0,1), (0,2), (1,2))
-    return Tournament.from_upper_signs(3, np.array([1, -1, 1]))
+    return Tournament(3, np.array([1, -1, 1]))
 
 
 def random_ranking(n, gen) -> Ranking:
@@ -118,27 +118,27 @@ class TestTournament:
         assert np.array_equal(mat, -mat.T)
 
     def test_bad_signs_rejected(self):
-        # Both public constructors check their signs before the int8 cast.
+        # The constructor checks its signs before the int8 cast.
         bad = [[1.5, 1, 1], [0, 1, 1], [1, -7, 1], [True, True, False], ["1", "1", "1"]]
         bad += [[1, True, -1]]  # an int64 cast would read the bool as 1
-        for build in (Tournament, Tournament.from_upper_signs):
-            for signs in bad + [np.array([1, 0, 1])]:
-                with pytest.raises(ValueError, match="signs must be"):
-                    build(3, signs)
-            with pytest.raises(ValueError, match="expected 3 signs"):
-                build(3, np.array([1, 1]))
-            t = build(3, [1.0, -1.0, 1.0])
-            assert t == cyclic3() and t.upper_signs().dtype == np.int8
+        for signs in bad + [np.array([1, 0, 1])]:
+            with pytest.raises(ValueError, match="signs must be"):
+                Tournament(3, signs)
+        with pytest.raises(ValueError, match="expected 3 signs"):
+            Tournament(3, np.array([1, 1]))
+        t = Tournament(3, [1.0, -1.0, 1.0])
+        assert t == cyclic3() and t.upper_signs().dtype == np.int8
 
     # Each sign list holds n(n - 1)/2 signs, so only the type of n is wrong.
     @pytest.mark.parametrize("n, signs", [(2.5, [1]), (3.0, [1] * 3), (True, []), ("3", [1] * 3)])
     def test_non_integer_n_rejected(self, n, signs):
         with pytest.raises(ValueError):
-            Tournament.from_upper_signs(n, signs)
+            Tournament(n, signs)
 
     def test_integral_n_stored_as_int(self):
-        t = Tournament.from_upper_signs(np.int64(3), [1, -1, 1])
+        t = Tournament(np.int64(3), [1, -1, 1])
         assert type(t.n) is int and t == cyclic3()
+        assert (t == "x") is False and repr(t) == "Tournament(n=3)"
         assert t.scores().tolist() == cyclic3().scores().tolist() == [0, 0, 0]
 
     def test_scores_peak_small_at_five_thousand(self):
@@ -155,10 +155,9 @@ class TestTournament:
 
     def test_public_construction_copies_its_argument(self):
         signs = np.array([1, -1, 1], dtype=np.int8)
-        for t in (Tournament(3, signs), Tournament.from_upper_signs(3, signs)):
-            signs[:] = -1
-            assert t == cyclic3() and signs.flags.writeable
-            signs[:] = [1, -1, 1]
+        t = Tournament(3, signs)
+        signs[:] = -1
+        assert t == cyclic3() and signs.flags.writeable
 
     @pytest.mark.parametrize(
         "draw",
@@ -337,7 +336,8 @@ class TestRanking:
     def test_builders_equal_checked_construction(self, n):
         # identity skips the permutation check; its ranks must still be the checked ones.
         pi, checked = Ranking.identity(n), Ranking(list(range(1, n + 1)))
-        assert pi == checked
+        assert pi == checked and hash(pi) == hash(checked)
+        assert (pi == "x") is False and repr(pi) == f"Ranking({list(range(1, n + 1))})"
         assert pi.ranks.dtype == checked.ranks.dtype == np.int64
         assert not pi.ranks.flags.writeable and not checked.ranks.flags.writeable
 

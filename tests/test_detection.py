@@ -32,7 +32,7 @@ from tourney_lab.detection import (
 
 
 def cyclic3() -> Tournament:
-    return Tournament.from_upper_signs(3, np.array([1, -1, 1]))
+    return Tournament(3, np.array([1, -1, 1]))
 
 
 def wedge_direct(t: Tournament) -> int:
@@ -50,7 +50,7 @@ def wedge_direct(t: Tournament) -> int:
 def rotational(n: int) -> Tournament:
     """Regular tournament on odd n: i beats i+1, ..., i+(n-1)/2 (mod n)."""
     gap = (np.arange(n) - np.arange(n)[:, None]) % n
-    return Tournament.from_upper_signs(n, np.where(gap <= n // 2, 1, -1)[upper_mask(n)])
+    return Tournament(n, np.where(gap <= n // 2, 1, -1)[upper_mask(n)])
 
 
 def relabel(t: Tournament, perm: np.ndarray) -> Tournament:
@@ -58,7 +58,7 @@ def relabel(t: Tournament, perm: np.ndarray) -> Tournament:
     new = np.empty_like(mat)
     new[np.ix_(perm, perm)] = mat
     iu = np.triu_indices(t.n, k=1)
-    return Tournament.from_upper_signs(t.n, new[iu])
+    return Tournament(t.n, new[iu])
 
 
 class TestWedgeStatistic:
@@ -128,7 +128,7 @@ class TestWedgeMoments:
     def test_null_moments_by_enumeration(self):
         values = []
         for signs in itertools.product((-1, 1), repeat=3):
-            values.append(wedge_statistic(Tournament.from_upper_signs(3, np.array(signs))))
+            values.append(wedge_statistic(Tournament(3, np.array(signs))))
         values = np.array(values, dtype=float)
         assert values.mean() == 0.0
         assert (values**2).mean() == 3.0
@@ -150,7 +150,7 @@ class TestWedgeMoments:
         gamma = 0.25
         total = 0.0
         for signs in itertools.product((-1, 1), repeat=3):
-            t = Tournament.from_upper_signs(3, np.array(signs))
+            t = Tournament(3, np.array(signs))
             prob = 0.0
             for perm in itertools.permutations((1, 2, 3)):
                 pi = Ranking(list(perm))
@@ -311,7 +311,7 @@ class TestSpectralStatistic:
         first = [spectral_statistic(t) for t in draws]
         np.random.standard_normal(1000)  # moves the global RNG state
         spectral_statistic(sample_null(257, RngStream(16)))
-        copies = [Tournament.from_upper_signs(t.n, t.upper_signs()) for t in draws]
+        copies = [Tournament(t.n, t.upper_signs()) for t in draws]
         again = [spectral_statistic(t) for t in copies[::-1]]
         assert first == again[::-1]  # bit for bit
 

@@ -26,13 +26,17 @@ from tourney_lab.core import (
     sample_null,
     sample_planted_uniform,
 )
-from tourney_lab.detection import spectral_test, wedge_null_moments, wedge_statistic
+from tourney_lab.detection import (
+    spectral_statistic,
+    spectral_test,
+    wedge_null_moments,
+    wedge_statistic,
+)
 from tourney_lab.experiments import (
     CSV_HEADER,
     ConfigError,
     MalformedCsvError,
     SweepConfig,
-    read_rows,
     run_sweep,
     summarize,
     write_summary,
@@ -97,8 +101,10 @@ class TestConfigValidation:
             make_config(tmp_path, trials=0)
 
     def test_bad_n(self, tmp_path):
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, n_values=[1])
+        # Two vertices have one edge and no wedge: detect-wedge's cutoff is 0 and flags every draw.
+        for n in (1, 2):
+            with pytest.raises(ConfigError, match="every n must be at least 3"):
+                make_config(tmp_path, n_values=[n])
 
     def test_gamma_range(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -209,6 +215,7 @@ class TestConfigValidation:
             ),
             pytest.param({"epsilon": 10**401}, id="huge-epsilon"),
             pytest.param({"n_values": [10**300]}, id="n-too-large-for-an-array"),
+            {"n_values": [2]},
             {"n_values": [10, 10]},
             {"gamma_spec": [0.1, 0.1]},
             {"gamma_spec": [0.0, -0.0]},
@@ -288,10 +295,14 @@ class TestRunSweep:
         result = run_sweep(cfg)
         # |n| * |gamma| * trials * statistics
         assert len(result.rows) == 1 * 2 * 3 * 2
-        parsed = read_rows(cfg.output_path)
-        assert [tuple(r) for r in parsed] == [tuple(r) for r in result.rows]
-        for row in result.rows:
-            assert math.isfinite(row.value)
+        with open(cfg.output_path, newline="") as fh:
+            header, *records = csv.reader(fh)
+        assert header == CSV_HEADER
+        # Each row reads back as the record it was written from.
+        for record, r in zip(records, result.rows, strict=True):
+            gamma, value = f"{r.gamma:.17g}", f"{r.value:.17g}"
+            assert record == [r.experiment, str(r.n), gamma, str(r.trial), r.statistic, value]
+            assert math.isfinite(r.value)
 
     def test_rows_sorted(self, tmp_path):
         cfg = make_config(tmp_path, n_values=[8, 6], gamma_spec=[0.4, 0.1], trials=2)
@@ -548,6 +559,32 @@ class TestRunSweep:
             write_summary(summarize(out), out)
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_detection_experiments_read_one_draw_per_task(self, tmp_path):
+        # 8 n^(-3/4) at n = 64; at n = 30 it would pass 1/2, so both sizes take this gamma.
+        n_values, gammas, trials = [30, 64], [0.0, 8.0 * 64**-0.75], 3
+        rows = {}
+        for experiment in ("detect-wedge", "detect-spectral"):
+            cfg = make_config(
+                tmp_path,
+                experiment=experiment,
+                n_values=n_values,
+                gamma_spec=gammas,
+                trials=trials,
+                output_path=str(tmp_path / f"{experiment}.csv"),
+            )
+            for r in run_sweep(cfg).rows:
+                rows[r.n, r.gamma, r.trial, r.statistic] = r.value
+        points = itertools.product(n_values, gammas, range(trials))
+        for stream, (n, gamma, trial) in enumerate(points):
+            # Config order numbers the streams: point index * trials + trial.
+            rng = RngStream(cfg.seed, stream)
+            if gamma == 0.0:
+                t = sample_null(n, rng)
+            else:
+                _, t = sample_planted_uniform(ModelParams(n, gamma), rng)
+            assert rows[n, gamma, trial, "wedge"] == wedge_statistic(t)
+            assert rows[n, gamma, trial, "spectral_scaled"] == spectral_statistic(t) / math.sqrt(n)
 
     def test_detect_spectral(self, tmp_path):
         cfg = make_config(

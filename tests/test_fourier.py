@@ -35,7 +35,7 @@ def all_tournaments(n):
     """Every tournament on n vertices, as sign tuples in lexicographic order."""
     m = n * (n - 1) // 2
     for signs in itertools.product((-1, 1), repeat=m):
-        yield Tournament.from_upper_signs(n, np.array(signs))
+        yield Tournament(n, np.array(signs))
 
 
 def planted_prob(t: Tournament, gamma: float) -> float:

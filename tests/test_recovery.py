@@ -35,7 +35,7 @@ from tourney_lab.recovery import (
 
 
 def cyclic3() -> Tournament:
-    return Tournament.from_upper_signs(3, np.array([1, -1, 1]))
+    return Tournament(3, np.array([1, -1, 1]))
 
 
 class TestScores:
@@ -83,7 +83,7 @@ class TestRankingByWins:
             relabeled = np.empty_like(mat)
             relabeled[np.ix_(perm, perm)] = mat
             iu = np.triu_indices(n, k=1)
-            t2 = Tournament.from_upper_signs(n, relabeled[iu])
+            t2 = Tournament(n, relabeled[iu])
             r1 = ranking_by_wins(t).ranks
             r2 = ranking_by_wins(t2).ranks
             assert np.array_equal(r2[perm], r1)
@@ -145,7 +145,7 @@ class TestPessimisticError:
         gen = RngStream(67, n).generator()
         pi = Ranking(gen.permutation(n) + 1)
         gap = (np.arange(n) - np.arange(n)[:, None]) % n
-        rotational = Tournament.from_upper_signs(n, np.where(gap <= n // 2, 1, -1)[upper_mask(n)])
+        rotational = Tournament(n, np.where(gap <= n // 2, 1, -1)[upper_mask(n)])
         tournaments = [induced_tournament(pi), sample_null(n, gen), rotational]
         for t in tournaments:
             signs = t.upper_signs().tolist()
@@ -203,7 +203,7 @@ class TestBruteForceMle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_small_tournament_matches_oracle(self, n):
         for signs in itertools.product((-1, 1), repeat=n * (n - 1) // 2):
-            self.assert_matches_oracle(Tournament.from_upper_signs(n, np.array(signs)))
+            self.assert_matches_oracle(Tournament(n, np.array(signs)))
 
     def test_null_draws_match_oracle(self):
         gen = RngStream(70).generator()
@@ -233,7 +233,7 @@ class TestBruteForceMle:
         gen = RngStream(68).generator()
         for _ in range(20):
             t = sample_null(5, gen)
-            flipped = Tournament.from_upper_signs(5, -t.upper_signs())
+            flipped = Tournament(5, -t.upper_signs())
             assert brute_force_mle(t).best_alignment == brute_force_mle(flipped).best_alignment
 
     def test_dominates_ranking_by_wins(self):
