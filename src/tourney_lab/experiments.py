@@ -30,6 +30,7 @@ from .core import (
     alignment,
     as_int,
     as_reals,
+    check_gamma,
     kendall_tau,
     sample_null,
     sample_null_scores,
@@ -108,7 +109,7 @@ def _recover(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
         kendall_tau(hidden, estimate),
         spearman_footrule(hidden, estimate),
         recovery.pessimistic_error_statistic(t, hidden),
-        recovery.expected_error_bound(params),
+        recovery.rbw_expected_errors(params)[0],
     )
 
 
@@ -135,7 +136,6 @@ class Experiment:
     statistics: tuple
     trial: Callable
     max_n: int | None = None
-    max_gamma: float = 0.5
     prints_tie_rule: bool = False
 
 
@@ -145,7 +145,6 @@ EXPERIMENTS = {
     "recover": Experiment(
         ("kendall_error", "footrule_error", "pessimistic_error", "expected_error_bound"),
         _recover,
-        max_gamma=recovery.MAX_BOUND_GAMMA,
         prints_tie_rule=True,
     ),
     "mle-compare": Experiment(
@@ -255,8 +254,10 @@ class SweepConfig:
             if spec.max_n is not None and n > spec.max_n:
                 raise ValueError(f"{self.experiment} requires n <= {spec.max_n}")
             for gamma in self.gammas_for(n):
-                if not 0.0 <= gamma <= spec.max_gamma:
-                    raise ValueError(f"gamma={gamma} at n={n} falls outside [0, {spec.max_gamma}]")
+                try:
+                    check_gamma(gamma)
+                except ValueError as exc:
+                    raise ValueError(f"{exc} at n={n}") from None
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
-"""Ranking By Wins, the exact MLE alignment, its brute-force oracle, and error bounds.
+"""Ranking By Wins, its exact expected errors, the exact MLE alignment and its oracle.
 
 Ranking By Wins orders vertices by win score and, despite its simplicity,
 recovers the hidden ranking at the information-theoretic rate and nearly
-maximizes the alignment objective once the signal is strong enough.  The
-largest alignment is computed exactly by a subset DP up to n = 16, with the
-exhaustive MLE over all n! rankings kept as its oracle up to n = 9.
+maximizes the alignment objective once the signal is strong enough.  Its
+expected Kendall and pessimistic errors are exact at every n and gamma, from
+the law of one pair's score difference.  The largest alignment is computed
+exactly by a subset DP up to n = 16, with the exhaustive MLE over all n!
+rankings kept as its oracle up to n = 9.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,18 +33,16 @@ __all__ = [
     "MleResult",
     "brute_force_mle",
     "concavity_check",
-    "expected_error_bound",
     "max_alignment",
     "opt_bounds",
     "pessimistic_error_statistic",
     "ranking_by_wins",
+    "rbw_expected_errors",
 ]
 
 MAX_MLE_N = 9
 # max_alignment tabulates 2^n vertex sets: a 2.2 MiB peak at n = 16, doubling per extra vertex.
 MAX_DP_N = 16
-# expected_error_bound holds for gamma up to this value.
-MAX_BOUND_GAMMA = 0.25
 
 # Tie rule: equal scores rank the smaller-indexed vertex below (worse than)
 # the larger-indexed one.  Fixed for determinism.
@@ -82,6 +83,51 @@ def pessimistic_error_statistic(t: Tournament, hidden: Ranking) -> int:
     # C(n,2) minus the pairs with s_i > s_j, counted on the wins 0..n-1: s_i = 2 wins_i - (n - 1).
     wins = (t.scores() + t.n - 1) // 2
     return t.num_edges - discordant_pairs(hidden.ranks, wins)
+
+
+def _binomial_pmf(m: int, p: float, q: float, log_fact: np.ndarray) -> np.ndarray:
+    """Bin(m, p) pmf on 0..m, with q = 1 - p, from a log-factorial table; exact when p or q is 0."""
+    k = np.arange(m + 1)
+    if p == 0.0 or q == 0.0:
+        return (k == (m if q == 0.0 else 0)).astype(np.float64)
+    log_pmf = log_fact[m] - log_fact[k] - log_fact[m - k] + k * math.log(p) + (m - k) * math.log(q)
+    return np.exp(log_pmf)
+
+
+# A sweep runs its trials in (n, gamma, trial) order, so each point computes the law once.
+@functools.lru_cache(maxsize=1)
+def rbw_expected_errors(params: ModelParams) -> tuple[float, float]:
+    """Exact E[kendall_error] and E[pessimistic_error] of Ranking By Wins on a planted draw.
+
+    Take i ranked d places above j, p = 1/2 + gamma and q = 1/2 - gamma.  Given
+    the ranking, (s_i - s_j)/2 = Z_d = 2U + A_d + B_d - (n - 1), with
+    independent U ~ Bern(p) (the edge i-j), A_d ~ Bin(n + d - 3, p) and
+    B_d ~ Bin(n - 1 - d, q) (the other vertices, grouped as above both,
+    between and below both).  RBW misorders the pair with probability
+    P(Z_d < 0) + P(Z_d = 0)/2, since the tie rule reads vertex indices, which a
+    uniform hidden ranking makes independent of the scores; the pessimistic
+    statistic counts P(Z_d <= 0).  There are n - d pairs at distance d.  Per d,
+    the CDF of A_d + B_d at the four points needed is one CDF of A_d against
+    the pmf of B_d, so a point costs O(n^2), with no convolution.
+    """
+    n, gamma = params.n, params.gamma
+    p, q = 0.5 + gamma, 0.5 - gamma
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * n)))))
+    # With S = A_d + B_d, Z_d < 0 and Z_d = 0 read S <= n-4 and S = n-3 when U = 1,
+    # S <= n-2 and S = n-1 when U = 0: the CDF of S at these four points.
+    points = np.arange(n - 4, n)[:, None]
+    kendall = np.zeros(n)
+    pessimistic = np.zeros(n)
+    for d in range(1, n):
+        cdf_a = np.cumsum(_binomial_pmf(n + d - 3, p, q, log_fact))
+        pmf_b = _binomial_pmf(n - 1 - d, q, p, log_fact)
+        below = points - np.arange(pmf_b.size)  # A_d <= k - b
+        inside = np.clip(below, 0, cdf_a.size - 1)
+        cdf = np.sum(pmf_b * np.where(below < 0, 0.0, cdf_a[inside]), axis=1)
+        kendall[d] = 0.5 * (p * (cdf[0] + cdf[1]) + q * (cdf[2] + cdf[3]))
+        pessimistic[d] = p * cdf[1] + q * cdf[3]
+    weights = n - np.arange(n)
+    return float(np.sum(weights * kendall)), float(np.sum(weights * pessimistic))
 
 
 def brute_force_mle(t: Tournament) -> MleResult:
@@ -131,19 +177,6 @@ def max_alignment(t: Tournament) -> int:
     return 2 * int(best[-1]) - t.num_edges  # best[-1] is best[V]
 
 
-def expected_error_bound(params: ModelParams) -> float:
-    """Expected Kendall error bound for Ranking By Wins.
-
-    C(n,2) * Phi(-2*gamma*sqrt(n) / sqrt(2*(1-4*gamma^2))), valid for
-    gamma <= MAX_BOUND_GAMMA = 1/4.
-    """
-    n, gamma = params.n, params.gamma
-    if gamma > MAX_BOUND_GAMMA:
-        raise ValueError(f"bound assumes gamma <= {MAX_BOUND_GAMMA}")
-    arg = -2.0 * gamma * math.sqrt(n) / math.sqrt(2.0 * (1.0 - 4.0 * gamma**2))
-    return math.comb(n, 2) * 0.5 * math.erfc(-arg / math.sqrt(2.0))
-
-
 def concavity_check(a: float, b: float, grid: int) -> bool:
     """Check concavity of (1-y) Phi(-a*y - b) on [0, 1] by central differences."""
     if as_reals([a, b], "a and b").shape != (2,) or not (a >= 0 and b >= 0):  # also rejects NaN
@@ -152,7 +185,8 @@ def concavity_check(a: float, b: float, grid: int) -> bool:
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     y = np.linspace(0.0, 1.0, grid)
-    # Phi(-a*y - b) = erfc((a*y + b) / sqrt 2) / 2, the Phi of expected_error_bound.
+    # Phi(-a*y - b) = erfc((a*y + b) / sqrt 2) / 2.  g is convex for a > 0: see the README's
+    # note on acceptance criterion 9.
     g = (1.0 - y) * 0.5 * np.array([math.erfc((a * v + b) / math.sqrt(2.0)) for v in y])
     second_diff = g[2:] - 2.0 * g[1:-1] + g[:-2]
     return bool(np.all(second_diff <= 1e-9))

@@ -677,6 +677,13 @@ def test_upper_blocks_tile_the_upper_triangle_of_to_matrix(block_plan, n, block_
         assert wide.dtype == np.float32 and np.array_equal(wide, narrow)
 
 
+def test_upper_blocks_ask_for_one_buffer_size_whatever_the_dtype():
+    # The spectral passes alternate float32 and float64 blocks; two sizes fragment the heap.
+    t = sample_null(300, RngStream(21))
+    sizes = {t.upper_blocks(dtype)[0][2].base.nbytes for dtype in (np.int8, np.float32, np.float64)}
+    assert sizes == {8 * sum(block.size for *_, block in t.upper_blocks(np.float64))}
+
+
 class TestInducedTournament:
     def test_identity(self):
         t = induced_tournament(Ranking.identity(3))

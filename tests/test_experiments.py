@@ -41,6 +41,7 @@ from tourney_lab.experiments import (
     summarize,
     write_summary,
 )
+from tourney_lab.recovery import rbw_expected_errors
 
 
 def make_config(tmp_path, **overrides):
@@ -124,12 +125,8 @@ class TestConfigValidation:
 
     def test_scaling_gamma_must_stay_valid(self, tmp_path):
         # c n^(-alpha) > 1/2 at n=4 is rejected
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"in \[0, 1/2\], got 1.0 at n=4$"):
             make_config(tmp_path, gamma_spec={"c": 2.0, "alpha": 0.5}, n_values=[4])
-
-    def test_recover_gamma_cap(self, tmp_path):
-        with pytest.raises(ConfigError):
-            make_config(tmp_path, experiment="recover", gamma_spec=[0.3])
 
     def test_mle_size_cap(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -506,6 +503,22 @@ class TestRunSweep:
         }
         for k_err, p_err in zip(by_stat["kendall_error"], by_stat["pessimistic_error"]):
             assert p_err >= k_err
+        expected = rbw_expected_errors(ModelParams(30, 0.2))[0]
+        assert by_stat["expected_error_bound"] == [expected] * 4
+
+    def test_recover_runs_at_every_gamma(self, tmp_path):
+        # Every gamma in [0, 1/2] runs. At 1/2 the draw is transitive, so RBW is exact.
+        for threads in (1, 2):
+            cfg = make_config(
+                tmp_path, experiment="recover", n_values=[10], gamma_spec=[0.3, 0.5],
+                threads=threads,
+            )
+            rows = run_sweep(cfg).rows
+            assert {r.gamma for r in rows} == {0.3, 0.5}
+            for r in rows:
+                if r.statistic == "expected_error_bound":
+                    assert r.value == rbw_expected_errors(ModelParams(r.n, r.gamma))[0]
+            assert all(r.value == 0.0 for r in rows if r.gamma == 0.5)
 
     def test_mle_compare_statistics(self, tmp_path):
         cfg = make_config(

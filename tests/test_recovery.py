@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from tourney_lab.core import (
     ModelParams,
@@ -21,16 +20,15 @@ from tourney_lab.core import (
     sample_planted_uniform,
     upper_mask,
 )
-from tourney_lab.experiments import EXPERIMENTS
+from tourney_lab.experiments import SweepConfig, run_sweep
 from tourney_lab.recovery import (
-    MAX_BOUND_GAMMA,
     brute_force_mle,
     concavity_check,
-    expected_error_bound,
     max_alignment,
     opt_bounds,
     pessimistic_error_statistic,
     ranking_by_wins,
+    rbw_expected_errors,
 )
 
 
@@ -339,32 +337,84 @@ class TestMaxAlignment:
         assert peak < 8 * 2**20
 
 
-class TestExpectedErrorBound:
-    def test_gamma_zero(self):
-        for n in (2, 30):
-            assert expected_error_bound(ModelParams(n, 0.0)) == 0.5 * math.comb(n, 2)
+def rbw_error_oracle(n: int, gamma: float) -> tuple[float, float]:
+    """(E[kendall], E[pessimistic]) of RBW over every ranking and every tournament on n vertices."""
+    pairs = np.array(list(itertools.combinations(range(n), 2))).reshape(-1, 2)
+    i, j = pairs.T
+    ranks = np.array(list(itertools.permutations(range(1, n + 1))))
+    above = ranks[:, i] < ranks[:, j]  # above[r, e]: ranking r puts i above j on edge e
+    p, q = 0.5 + gamma, 0.5 - gamma
+    kendall = pessimistic = 0.0
+    for signs in itertools.product((-1, 1), repeat=len(pairs)):
+        t = Tournament(n, np.array(signs, dtype=np.int8))
+        s, rbw = t.scores(), ranking_by_wins(t).ranks
+        agree = np.count_nonzero(above == (np.array(signs) > 0), axis=1)
+        weight = np.array([p**a * q ** (len(pairs) - a) for a in agree.tolist()])
+        misordered = np.count_nonzero(above != (rbw[i] < rbw[j]), axis=1)
+        tied_or_worse = np.count_nonzero(np.where(above, s[i] <= s[j], s[j] <= s[i]), axis=1)
+        kendall += float(np.sum(weight * misordered))
+        pessimistic += float(np.sum(weight * tied_or_worse))
+    return kendall / len(ranks), pessimistic / len(ranks)
 
-    def test_against_norm_cdf_oracle(self):
-        params = ModelParams(400, 0.15)
-        arg = -2 * 0.15 * 20 / math.sqrt(2 * (1 - 4 * 0.15**2))
-        oracle = math.comb(400, 2) * float(norm.cdf(arg))
-        value = expected_error_bound(params)
-        assert value == pytest.approx(oracle, rel=1e-10)
-        assert value == pytest.approx(0.34, abs=0.02)
 
-    def test_monotone_in_gamma(self):
-        values = [expected_error_bound(ModelParams(100, g)) for g in np.linspace(0, 0.25, 20)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+class TestRbwExpectedErrors:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_enumeration(self, n):
+        for gamma in (0.0, 0.05, 0.15, 0.3, 0.5):
+            law = rbw_expected_errors(ModelParams(n, gamma))
+            assert law == pytest.approx(rbw_error_oracle(n, gamma), rel=0, abs=1e-12)
 
-    def test_gamma_guard(self):
-        with pytest.raises(ValueError):
-            expected_error_bound(ModelParams(10, 0.3))
+    def test_endpoints(self):
+        for n in (1, 2, 3, 10, 101):
+            half = math.comb(n, 2) / 2
+            assert rbw_expected_errors(ModelParams(n, 0.0))[0] == pytest.approx(half, rel=1e-12)
+            assert rbw_expected_errors(ModelParams(n, 0.5)) == (0.0, 0.0)
 
-    def test_guard_is_the_recover_sweep_limit(self):
-        assert EXPERIMENTS["recover"].max_gamma == MAX_BOUND_GAMMA == 0.25
-        assert expected_error_bound(ModelParams(10, MAX_BOUND_GAMMA)) > 0
-        with pytest.raises(ValueError):
-            expected_error_bound(ModelParams(10, math.nextafter(MAX_BOUND_GAMMA, 1.0)))
+    def test_both_fall_as_gamma_rises_and_pessimistic_dominates(self):
+        for n in (3, 9, 64):
+            values = [rbw_expected_errors(ModelParams(n, g)) for g in np.linspace(0, 0.5, 21)]
+            kendall, pessimistic = np.array(values).T
+            assert np.all(np.diff(kendall) < 0) and np.all(np.diff(pessimistic) < 0)
+            assert np.all(pessimistic >= kendall)
+
+    @pytest.mark.parametrize(
+        "n, gamma, kendall",
+        [
+            (9, 0.05, 15.76),
+            (9, 0.15, 11.53),
+            (9, 0.3, 6.23),
+            (32, 0.05, 195.19),
+            (64, 0.2, 274.44),
+            (400, 0.15, 6576.37),  # criterion 6's point: 0.0824 C(n,2) against a 0.02 C(n,2) budget
+        ],
+    )
+    def test_pinned_values(self, n, gamma, kendall):
+        assert rbw_expected_errors(ModelParams(n, gamma))[0] == pytest.approx(kendall, abs=0.005)
+
+    def test_square_root_scaling(self):
+        # gamma = c/sqrt(n), c = 2: Kendall/C(n,2) nears its n -> oo limit from below,
+        # int_0^1 2(1-x) Phi(-2 sqrt(2) c x) dx = 0.1254.
+        n = 2000
+        kendall, _ = rbw_expected_errors(ModelParams(n, 2 / math.sqrt(n)))
+        assert kendall / math.comb(n, 2) == pytest.approx(0.1248, abs=5e-5)
+
+    def test_recover_sweep_means_match(self, tmp_path):
+        n, gamma, trials = 32, 0.1, 2000
+        path = str(tmp_path / "recover.csv")
+        rows = run_sweep(SweepConfig("recover", [n], [gamma], trials, 651, output_path=path)).rows
+        law = rbw_expected_errors(ModelParams(n, gamma))
+        for statistic, expected in zip(("kendall_error", "pessimistic_error"), law):
+            values = np.array([r.value for r in rows if r.statistic == statistic])
+            assert values.size == trials
+            assert abs(values.mean() - expected) <= 4 * values.std() / math.sqrt(trials)
+
+    def test_cached_per_point(self):
+        rbw_expected_errors.cache_clear()
+        params = ModelParams(32, 0.1)
+        first = rbw_expected_errors(params)
+        assert rbw_expected_errors(ModelParams(32, 0.1)) is first
+        info = rbw_expected_errors.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, 1)
 
 
 class TestConcavityCheck:
