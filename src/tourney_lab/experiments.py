@@ -117,7 +117,7 @@ def _mle_compare(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
     _, t = sample_planted_uniform(ModelParams(n, gamma), rng)
     rbw_value = alignment(recovery.ranking_by_wins(t), t)
     best = recovery.max_alignment(t)
-    return rbw_value, best, rbw_value / best if best else 1.0  # a zero optimum: RBW is optimal
+    return rbw_value, best, rbw_value / best  # best >= 1: see max_alignment
 
 
 def _chi2_table(n: int, gamma: float, rng: RngStream, epsilon: float) -> tuple:
@@ -411,7 +411,8 @@ def summarize(result_path) -> list:
     Returns rows of (experiment, n, gamma, statistic, count, mean, sd,
     success_rate) where sd is the population standard deviation and
     success_rate is the fraction of non-zero values (the mean verdict for
-    0/1 statistics).  Rows are folded into one list of values per group as
+    0/1 statistics).  A group of equal values reads that value as its mean
+    and 0.0 as its sd.  Rows are folded into one list of values per group as
     they are parsed; no list of rows is built.
     """
     groups: dict = {}
@@ -420,15 +421,12 @@ def summarize(result_path) -> list:
     summary = []
     for key in sorted(groups):
         values = np.asarray(groups[key])
-        summary.append(
-            (
-                *key,
-                values.size,
-                float(values.mean()),
-                float(values.std(ddof=0)),
-                float((values != 0.0).mean()),
-            )
-        )
+        if values.min() == values.max():
+            # np.mean of equal values can round away from them, and std then reads its error.
+            mean, sd = float(values[0]), 0.0
+        else:
+            mean, sd = float(values.mean()), float(values.std(ddof=0))
+        summary.append((*key, values.size, mean, sd, float((values != 0.0).mean())))
     return summary
 
 

@@ -160,6 +160,11 @@ def max_alignment(t: Tournament) -> int:
     best[S] = max over v in S of best[S - v] + popcount(S & beaten_by[v]),
     filled one popcount layer at a time; the alignment is 2 best[V] - m.
     Guarded to n <= MAX_DP_N.
+
+    The value is at least 1 for n >= 2 (0 for one vertex, which has no edge), so
+    mle-compare's ratio never divides by 0.  Rank greedily, each time putting on
+    top a vertex of largest out-degree among the k left: it beats at least
+    (k - 1)/2 of them, so its edges add wins - losses >= 0, and the last pair adds 1.
     """
     n = t.n
     if n > MAX_DP_N:

@@ -595,7 +595,7 @@ class TestScoreSamplers:
             sample_null_scores(0, RngStream(0))
 
     def test_null_draw_at_ten_thousand_stays_small(self):
-        # README puts this peak at about 0.7 MiB; the edge flags alone would take 50 MB.
+        # The edge flags alone would take 50 MB.
         tracemalloc.start()
         try:
             scores = sample_null_scores(10_000, RngStream(3))

@@ -621,6 +621,14 @@ class TestSummarize:
         assert (experiment, n, gamma, stat) == ("recover", 10, 0.1, "kendall_error")
         assert count == 1 and mean == 7.0 and sd == 0.0 and rate == 1.0
 
+    def test_constant_group_reads_its_value(self, tmp_path):
+        # recover's law column at n = 8, gamma = 0: np.mean of these 50 values is one ulp higher.
+        path = tmp_path / "constant.csv"
+        rows = [f"recover,8,0,{k},expected_error_bound,14.000000000000021" for k in range(50)]
+        path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+        ((*_, count, mean, sd, rate),) = summarize(path)
+        assert (count, mean, sd, rate) == (50, 14.000000000000021, 0.0, 1.0)
+
     def test_matches_independent_recomputation(self, tmp_path):
         gen = np.random.default_rng(5)
         path = tmp_path / "fixture.csv"

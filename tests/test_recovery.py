@@ -319,6 +319,32 @@ class TestMaxAlignment:
             assert alignment(ranking_by_wins(t), t) <= value <= m
             assert (value - m) % 2 == 0
 
+    @pytest.mark.parametrize("n, smallest", [(1, 0), (2, 1), (3, 1), (4, 4), (5, 4)])
+    def test_smallest_optimum_over_every_small_tournament(self, n, smallest):
+        optima = [
+            max_alignment(Tournament(n, np.array(signs)))
+            for signs in itertools.product((-1, 1), repeat=n * (n - 1) // 2)
+        ]
+        assert min(optima) == smallest
+
+    def test_null_draws_reach_at_least_one(self):
+        for n in range(6, 17):
+            for k in range(4):
+                assert max_alignment(sample_null(n, RngStream(79, 10 * n + k))) >= 1, (n, k)
+
+    def test_mle_compare_ratio_divides_by_the_optimum(self, tmp_path):
+        # At n = 3 a cyclic draw has optimum 1, the smallest any tournament on 2+ vertices has.
+        path = str(tmp_path / "mle.csv")
+        config = SweepConfig("mle-compare", [3], [0.0, 0.2], 20, 80, output_path=path)
+        trials = {}
+        for row in run_sweep(config).rows:
+            trials.setdefault((row.gamma, row.trial), {})[row.statistic] = row.value
+        assert len(trials) == 40
+        assert any(values["mle_alignment"] == 1 for values in trials.values())
+        for values in trials.values():
+            ratio = values["rbw_alignment"] / values["mle_alignment"]
+            assert values["alignment_ratio"] == ratio
+
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n=17 exceeds 16"):
             max_alignment(sample_null(17, RngStream(0)))
